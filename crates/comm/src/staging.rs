@@ -20,7 +20,8 @@
 //! FIFO the fabric's QoS queues enforce within a shard, and the trace
 //! auditor's `fleet-*` rules check it after the fact.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use sim_core::time::SimTime;
 use sim_core::units::ByteSize;
@@ -59,17 +60,43 @@ impl StagedMsg {
 
 /// Merges per-shard window stages into one deterministic delivery order.
 ///
-/// The result is sorted by [`StagedMsg::key`]; because keys are unique the
-/// output is independent of the order of `stages` (shards may report in
-/// any order without breaking byte-identity).
-pub fn merge_windows(stages: Vec<Vec<StagedMsg>>) -> Vec<StagedMsg> {
-    let total = stages.iter().map(Vec::len).sum();
-    let mut merged: Vec<StagedMsg> = Vec::with_capacity(total);
-    for stage in stages {
-        merged.extend(stage);
+/// Appends every staged message to `out` in [`StagedMsg::key`] order and
+/// leaves each stage empty, keeping its capacity for the next window.
+/// Each stage must already be sorted by key, as a shard's stage is when it
+/// numbers its sends in issue order; the merge is then a k-way merge of
+/// the stage heads, `O(n log k)` for `n` messages over `k` stages. Because
+/// keys are unique the output is independent of the order of `stages`
+/// (shards may report in any order without breaking byte-identity).
+pub fn merge_windows(stages: &mut [Vec<StagedMsg>], out: &mut Vec<StagedMsg>) {
+    debug_assert!(
+        stages
+            .iter()
+            .all(|s| s.windows(2).all(|w| w[0].key() < w[1].key())),
+        "every stage must be sorted by key"
+    );
+    let total: usize = stages.iter().map(Vec::len).sum();
+    if total == 0 {
+        return;
     }
-    merged.sort_by_key(StagedMsg::key);
-    merged
+    out.reserve(total);
+    // Min-heap of (head key, stage index); `next[i]` is stage i's cursor.
+    let mut heads: BinaryHeap<_> = stages
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| s.first().map(|m| Reverse((m.key(), i))))
+        .collect();
+    let mut next = vec![0usize; stages.len()];
+    while let Some(Reverse((_, i))) = heads.pop() {
+        let stage = &stages[i];
+        out.push(stage[next[i]].clone());
+        next[i] += 1;
+        if let Some(m) = stage.get(next[i]) {
+            heads.push(Reverse((m.key(), i)));
+        }
+    }
+    for stage in stages {
+        stage.clear();
+    }
 }
 
 /// Minimum lookahead over a set of cross-shard link profiles — the widest
@@ -141,12 +168,19 @@ mod tests {
         }
     }
 
+    fn merged(mut stages: Vec<Vec<StagedMsg>>) -> Vec<StagedMsg> {
+        let mut out = Vec::new();
+        merge_windows(&mut stages, &mut out);
+        assert!(stages.iter().all(Vec::is_empty), "stages are drained");
+        out
+    }
+
     #[test]
     fn merge_is_independent_of_stage_order() {
         let a = vec![m(10, 0, 0, 1), m(30, 0, 1, 2)];
         let b = vec![m(10, 1, 0, 1), m(20, 1, 1, 3)];
-        let fwd = merge_windows(vec![a.clone(), b.clone()]);
-        let rev = merge_windows(vec![b, a]);
+        let fwd = merged(vec![a.clone(), b.clone()]);
+        let rev = merged(vec![b, a]);
         assert_eq!(fwd, rev);
         let keys: Vec<_> = fwd.iter().map(StagedMsg::key).collect();
         let mut sorted = keys.clone();
@@ -155,6 +189,34 @@ mod tests {
         // Same depart time: shard 0 wins the tie deterministically.
         assert_eq!(fwd[0].src_shard, 0);
         assert_eq!(fwd[1].src_shard, 1);
+    }
+
+    #[test]
+    fn k_way_merge_matches_a_full_sort() {
+        let mut rng = sim_core::rng::DetRng::new(0x5EED);
+        for _ in 0..200 {
+            let shards = rng.range(1, 7) as u32;
+            // Each stage departs in nondecreasing time with a rising
+            // sequence, as a shard stages its sends in issue order; coarse
+            // times make cross-stage ties common.
+            let mut stages: Vec<Vec<StagedMsg>> = (0..shards)
+                .map(|shard| {
+                    let mut t = 0;
+                    (0..rng.range(0, 12))
+                        .map(|seq| {
+                            t += rng.range(0, 3);
+                            m(t, shard, seq, rng.range(0, 4) as u32)
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sorted: Vec<StagedMsg> = stages.iter().flatten().cloned().collect();
+            sorted.sort_by_key(StagedMsg::key);
+            let mut out = vec![m(0, 99, 0, 0)];
+            merge_windows(&mut stages, &mut out);
+            assert_eq!(out[0].src_shard, 99, "merge appends to `out`");
+            assert_eq!(out[1..], sorted[..]);
+        }
     }
 
     #[test]

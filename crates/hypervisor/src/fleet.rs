@@ -9,32 +9,47 @@
 //!
 //! # Conservative windows
 //!
-//! Shards advance in lock-step windows of width `W =`
-//! [`LinkProfile::lookahead`] of the cross-shard link. A message staged by
-//! [`Op::FleetSend`] in window `k` departs at some `t ≥ start_k`, so its
-//! earliest possible arrival `t + W ≥ start_k + W = end_k` falls in window
-//! `k+1` or later — no shard can ever receive a message for a time it has
-//! already simulated, which is exactly the conservative synchronization
-//! invariant (null-message-free, because the window *is* the lookahead).
+//! Shards advance in lock-step windows bounded by the lookahead
+//! `W =` [`LinkProfile::lookahead`] of the cross-shard link. Each window
+//! ends at `LBTS + W − 1 ns`, where `LBTS` (the lower bound on time
+//! stamps) is the earliest of every shard's next event and every merged
+//! delivery not yet injected. Any message staged by [`Op::FleetSend`] in
+//! the window departs at some `t ≥ LBTS`, so it arrives at
+//! `t + W ≥ LBTS + W`, strictly after the (inclusive) window end: no
+//! shard can ever receive a message for a time it has already simulated,
+//! which is the conservative synchronization invariant, checked when each
+//! delivery is injected. Because `LBTS` jumps straight to the next thing
+//! that happens, an idle stretch of virtual time costs one barrier, and
+//! window placement depends on simulation state only.
+//!
+//! The run ends when nothing is pending anywhere, or when a window's
+//! merge comes back empty with every client finished (servers block in
+//! `NetRecv` forever, and a pending request or reply implies an
+//! unfinished client).
 //!
 //! # Deterministic merge
 //!
-//! At each barrier the coordinator collects every shard's outbox, sorts
-//! the union by the unique key `(depart, src_shard, src_seq)`
-//! ([`StagedMsg::key`]), and feeds it in that order through a single
-//! [`IngressLine`] that serializes deliveries per destination tenant and
-//! applies the tenant's weighted-fair stretch. Because the merge order,
-//! the ingress-line state, and the per-shard injection order are all
-//! functions of simulation state only — never of host thread timing — a
-//! run with `jobs = 1` and a run with `jobs = N` produce byte-identical
-//! results ([`FleetReport::digest`]).
+//! At each barrier the coordinator k-way merges the shards' outboxes
+//! (each already in key order) by the unique key
+//! `(depart, src_shard, src_seq)` ([`StagedMsg::key`]), and feeds the
+//! result in that order through a single [`IngressLine`] that serializes
+//! deliveries per destination tenant and applies the tenant's
+//! weighted-fair stretch. Windows partition virtual time, so admission
+//! follows the global key order however the windows fall. Because the
+//! merge order, the ingress-line state, and the per-shard injection order
+//! are all functions of simulation state only — never of host thread
+//! timing — a run with `jobs = 1` and a run with `jobs = N` produce
+//! byte-identical results ([`FleetReport::digest`]).
 //!
 //! # Parallelism
 //!
-//! Worker threads own disjoint shard subsets (round-robin by shard id)
+//! One barrier loop drives two executors. At `jobs = 1` every shard runs
+//! inline on the calling thread: no threads, no channels. At `jobs > 1`
+//! worker threads own disjoint shard subsets (round-robin by shard id)
 //! for the whole run; worlds are built *inside* their worker so no
 //! non-`Send` state ever crosses a thread boundary. The coordinator and
-//! workers exchange plain-data messages over channels once per window.
+//! each worker exchange one plain-data message per window each way,
+//! carrying the shards' reused delivery and staging buffers.
 
 use std::sync::mpsc;
 use std::thread;
@@ -105,8 +120,8 @@ pub struct FleetConfig {
     pub pcpus_per_node: u32,
     /// Cost model for each shard's hypervisor.
     pub profile: HypervisorProfile,
-    /// The cross-shard datacenter link; its [`LinkProfile::lookahead`] is
-    /// the conservative window width.
+    /// The cross-shard datacenter link; its [`LinkProfile::lookahead`]
+    /// bounds each conservative window.
     pub fleet_link: LinkProfile,
     /// Weighted-fair shares applied per tenant class at ingress.
     pub weights: ClassWeights,
@@ -177,46 +192,291 @@ pub struct FleetSim {
     tenants: Vec<TenantSpec>,
 }
 
-/// Coordinator → worker: one window's marching orders.
-enum Cmd {
-    /// Advance every owned shard to `end`, injecting `deliveries` first
-    /// (already filtered to this worker, in global merge order).
-    Window {
-        end: SimTime,
-        deliveries: Vec<Delivery>,
-    },
-    /// The fleet is done: report final shard state.
-    Finish,
-}
-
-/// A merged cross-shard message scheduled into a destination shard.
+/// A merged cross-shard message bound for one shard's engine.
 struct Delivery {
-    shard: u32,
     at: SimTime,
     vcpu: u32,
     conn: u64,
     bytes: u64,
 }
 
-/// Worker → coordinator messages.
-enum Report {
-    /// One shard finished a window.
-    Window {
-        shard: u32,
-        staged: Vec<StagedMsg>,
-        clients_done: bool,
-    },
-    /// One shard's final state (sent on [`Cmd::Finish`]).
-    Done(Box<ShardResult>),
+/// What a shard reports at a barrier besides its staged sends.
+#[derive(Clone, Copy, Default)]
+struct Status {
+    /// The shard's earliest pending event (`None` when its queue is empty).
+    next: Option<SimTime>,
+    /// Every client on the shard has finished its rounds.
+    clients_done: bool,
+}
+
+/// The per-shard buffers of the barrier loop, indexed by shard id and
+/// reused across windows.
+struct Barrier {
+    /// Merged deliveries to inject before the next window, in merge order.
+    inboxes: Vec<Vec<Delivery>>,
+    /// Sends staged during the last window, in issue (= key) order.
+    outboxes: Vec<Vec<StagedMsg>>,
+    /// Each shard's status after the last window.
+    status: Vec<Status>,
+}
+
+/// One shard of the fleet: its world plus the sequence that numbers its
+/// staged sends.
+struct Shard {
+    id: u32,
+    tenants_per_shard: u32,
+    sim: VmSim,
+    seq: u64,
+    /// Clients `0..finished` are known to be done; the check resumes at
+    /// the first one that was not, so it costs O(1) per window.
+    finished: u32,
+}
+
+impl Shard {
+    /// Schedules `inbox`'s deliveries in order, leaving it empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delivery is not strictly after the shard's clock: the
+    /// window ended before the message could have arrived, so running it
+    /// would violate causality.
+    #[allow(clippy::panic)] // a causality violation is an engine bug
+    fn inject(&mut self, inbox: &mut Vec<Delivery>) {
+        let now = self.sim.engine.now();
+        for d in inbox.drain(..) {
+            assert!(
+                d.at > now,
+                "shard {}: delivery at {} is not after the barrier at {}",
+                self.id,
+                d.at,
+                now
+            );
+            self.sim.engine.schedule_at(
+                d.at,
+                Event::FleetDeliver {
+                    vcpu: VcpuId::new(d.vcpu),
+                    msg: GuestMsg::Net {
+                        conn: d.conn,
+                        bytes: d.bytes,
+                    },
+                },
+            );
+        }
+    }
+
+    /// Runs every event up to and including `end`, appends the sends
+    /// staged meanwhile to `outbox` in issue order, and reports the
+    /// shard's status.
+    fn advance(&mut self, end: SimTime, outbox: &mut Vec<StagedMsg>) -> Status {
+        self.sim.run_until(end);
+        let base = self.id * self.tenants_per_shard;
+        for m in self.sim.world.drain_fleet_outbox() {
+            outbox.push(StagedMsg {
+                depart: m.depart,
+                src_shard: self.id,
+                src_seq: self.seq,
+                src: base + m.src_vcpu.0 / 2,
+                dst: m.dst,
+                bytes: m.bytes,
+                tag: m.tag,
+            });
+            self.seq += 1;
+        }
+        let finish = &self.sim.world.stats.vcpu_finish;
+        while self.finished < self.tenants_per_shard && finish[2 * self.finished as usize].is_some()
+        {
+            self.finished += 1;
+        }
+        Status {
+            next: self.sim.engine.peek_time(),
+            clients_done: self.finished == self.tenants_per_shard,
+        }
+    }
+
+    /// Digest + stats for the finished shard.
+    fn result(&self) -> ShardResult {
+        let sim = &self.sim;
+        let mut h = Fnv1a::new();
+        h.write_u64(u64::from(self.id));
+        h.write_u64(sim.engine.delivered());
+        h.write_u64(sim.engine.now().as_nanos());
+        h.write_u64(sim.world.mem.dsm.state_digest());
+        let stats = &sim.world.stats;
+        for f in &stats.vcpu_finish {
+            h.write_u64(f.map_or(u64::MAX, SimTime::as_nanos));
+        }
+        for s in &stats.samples {
+            h.write_u64(s.len() as u64);
+            for &x in s {
+                h.write_u64(x);
+            }
+        }
+        let base = self.id * self.tenants_per_shard;
+        let tenants = (0..self.tenants_per_shard)
+            .map(|local| (base + local, stats.samples[2 * local as usize].clone()))
+            .collect();
+        ShardResult {
+            digest: h.finish(),
+            events: sim.engine.delivered(),
+            finish: stats.makespan(),
+            tenants,
+        }
+    }
 }
 
 struct ShardResult {
-    shard: u32,
     digest: u64,
     events: u64,
     finish: SimTime,
     /// `(global tenant id, client samples)`, in local tenant order.
     tenants: Vec<(u32, Vec<u64>)>,
+}
+
+/// Runs the shards' side of each window for the barrier loop.
+trait Executor {
+    /// Runs one window on every shard `s`: inject `inboxes[s]`, advance
+    /// to `end`, stage the sends into `outboxes[s]` and set `status[s]`.
+    fn window(&mut self, end: SimTime, barrier: &mut Barrier);
+
+    /// Every shard's final result, in shard order.
+    fn finish(self) -> Vec<ShardResult>;
+}
+
+/// The serial executor: every shard runs on the calling thread.
+struct Inline(Vec<Shard>);
+
+impl Executor for Inline {
+    fn window(&mut self, end: SimTime, barrier: &mut Barrier) {
+        for (i, shard) in self.0.iter_mut().enumerate() {
+            shard.inject(&mut barrier.inboxes[i]);
+            barrier.status[i] = shard.advance(end, &mut barrier.outboxes[i]);
+        }
+    }
+
+    fn finish(self) -> Vec<ShardResult> {
+        self.0.iter().map(Shard::result).collect()
+    }
+}
+
+/// One shard's window buffers on their way to its worker and back.
+struct ShardIo {
+    shard: u32,
+    inbox: Vec<Delivery>,
+    outbox: Vec<StagedMsg>,
+    status: Status,
+}
+
+/// Coordinator → worker.
+enum Cmd {
+    /// Run one window to `end` on the worker's shards, in shard order.
+    Window { end: SimTime, io: Vec<ShardIo> },
+    /// The fleet is done: report final shard state.
+    Finish,
+}
+
+/// Worker → coordinator.
+enum Report {
+    /// The worker's shards after a window (the `Cmd::Window` buffers).
+    Window(Vec<ShardIo>),
+    /// The worker's shards' final state, in shard order.
+    Done(Vec<(u32, ShardResult)>),
+}
+
+/// The parallel executor: worker threads own disjoint shard sets (shard
+/// `s` on worker `s % jobs`) for the whole run.
+struct Threads {
+    cmds: Vec<mpsc::Sender<Cmd>>,
+    reports: mpsc::Receiver<Report>,
+}
+
+impl Threads {
+    /// Spawns `jobs` workers on `scope`; each builds its own shards, so
+    /// worlds (which hold non-`Send` state) never cross threads.
+    fn spawn<'scope>(
+        fleet: &'scope FleetSim,
+        scope: &'scope thread::Scope<'scope, '_>,
+        jobs: usize,
+    ) -> Self {
+        let (report_tx, reports) = mpsc::channel();
+        let cmds = (0..jobs)
+            .map(|w| {
+                let (tx, rx) = mpsc::channel();
+                let report_tx = report_tx.clone();
+                scope.spawn(move || {
+                    let mut shards: Vec<Shard> = (w..fleet.config.shards as usize)
+                        .step_by(jobs)
+                        .map(|s| fleet.shard(s as u32))
+                        .collect();
+                    while let Ok(cmd) = rx.recv() {
+                        let report = match cmd {
+                            Cmd::Window { end, mut io } => {
+                                for (shard, io) in shards.iter_mut().zip(&mut io) {
+                                    debug_assert_eq!(shard.id, io.shard);
+                                    shard.inject(&mut io.inbox);
+                                    io.status = shard.advance(end, &mut io.outbox);
+                                }
+                                Report::Window(io)
+                            }
+                            Cmd::Finish => {
+                                Report::Done(shards.iter().map(|s| (s.id, s.result())).collect())
+                            }
+                        };
+                        report_tx.send(report).expect("coordinator alive");
+                    }
+                });
+                tx
+            })
+            .collect();
+        Threads { cmds, reports }
+    }
+}
+
+impl Executor for Threads {
+    fn window(&mut self, end: SimTime, barrier: &mut Barrier) {
+        let jobs = self.cmds.len();
+        for (w, tx) in self.cmds.iter().enumerate() {
+            let io = (w..barrier.inboxes.len())
+                .step_by(jobs)
+                .map(|s| ShardIo {
+                    shard: s as u32,
+                    inbox: std::mem::take(&mut barrier.inboxes[s]),
+                    outbox: std::mem::take(&mut barrier.outboxes[s]),
+                    status: Status::default(),
+                })
+                .collect();
+            tx.send(Cmd::Window { end, io }).expect("worker alive");
+        }
+        // Slot every shard's buffers back by shard id, so the order the
+        // workers report in (host timing) cannot matter.
+        for _ in 0..jobs {
+            match self.reports.recv().expect("worker alive") {
+                Report::Window(io) => {
+                    for io in io {
+                        let s = io.shard as usize;
+                        barrier.inboxes[s] = io.inbox;
+                        barrier.outboxes[s] = io.outbox;
+                        barrier.status[s] = io.status;
+                    }
+                }
+                Report::Done(_) => unreachable!("Done before Finish"),
+            }
+        }
+    }
+
+    fn finish(self) -> Vec<ShardResult> {
+        for tx in &self.cmds {
+            tx.send(Cmd::Finish).expect("worker alive");
+        }
+        let mut results: Vec<(u32, ShardResult)> = Vec::new();
+        for _ in 0..self.cmds.len() {
+            match self.reports.recv().expect("worker alive") {
+                Report::Done(r) => results.extend(r),
+                Report::Window(_) => unreachable!("Window after Finish"),
+            }
+        }
+        results.sort_by_key(|(shard, _)| *shard);
+        results.into_iter().map(|(_, r)| r).collect()
+    }
 }
 
 impl FleetSim {
@@ -245,223 +505,135 @@ impl FleetSim {
         &self.config
     }
 
-    /// Runs the fleet on `jobs` worker threads (clamped to `[1, shards]`)
-    /// and returns the merged report. The report — including its digest —
-    /// is independent of `jobs`: the serial run and every parallel run
-    /// execute the same windowed algorithm in the same merge order.
+    /// Runs the fleet on `jobs` worker threads (clamped to `[1, shards]`;
+    /// `jobs = 1` runs every shard on the calling thread) and returns the
+    /// merged report. The report — including its digest — is independent
+    /// of `jobs`: every executor runs the same windows in the same merge
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if the fleet exceeds [`FleetConfig::max_windows`] barriers
-    /// without every client finishing (a deadlocked tenant graph), or if
-    /// a worker thread panics.
-    #[allow(clippy::panic)] // documented contract: a hung fleet is a caller bug
+    /// without finishing (a deadlocked tenant graph), or if a worker
+    /// thread panics.
     pub fn run(&self, jobs: usize) -> FleetReport {
-        let cfg = &self.config;
-        let shards = cfg.shards as usize;
-        let jobs = jobs.clamp(1, shards.max(1));
-        let window = cfg.fleet_link.lookahead();
-        assert!(!window.is_zero(), "cross-shard link needs nonzero latency");
-
-        let (report_tx, report_rx) = mpsc::channel::<Report>();
-        let mut out: Option<FleetReport> = None;
-        thread::scope(|scope| {
-            // Spin up workers; each builds and owns its shards for the
-            // whole run (worlds hold non-Send state, so they never move).
-            let mut cmd_txs: Vec<mpsc::Sender<Cmd>> = Vec::with_capacity(jobs);
-            let owner_of: Vec<usize> = (0..shards).map(|s| s % jobs).collect();
-            for w in 0..jobs {
-                let (tx, rx) = mpsc::channel::<Cmd>();
-                cmd_txs.push(tx);
-                let owned: Vec<u32> = (0..shards as u32)
-                    .filter(|s| *s as usize % jobs == w)
-                    .collect();
-                let tx_back = report_tx.clone();
-                scope.spawn(move || self.worker(owned, rx, tx_back));
-            }
-            drop(report_tx);
-
-            // Coordinator: window barrier loop.
-            let mut ingress = IngressLine::new(cfg.fleet_link);
-            let mut pending: Vec<Vec<Delivery>> = (0..jobs).map(|_| Vec::new()).collect();
-            let mut windows = 0u64;
-            let mut fleet_msgs = 0u64;
-            loop {
-                windows += 1;
-                assert!(
-                    windows <= cfg.max_windows,
-                    "fleet exceeded {} windows without finishing \
-                     (deadlocked tenant graph?)",
-                    cfg.max_windows
-                );
-                let end = SimTime::from_nanos(window.as_nanos() * windows);
-                for (w, tx) in cmd_txs.iter().enumerate() {
-                    let deliveries = std::mem::take(&mut pending[w]);
-                    tx.send(Cmd::Window { end, deliveries })
-                        .expect("worker alive");
-                }
-
-                // Collect exactly one report per shard, slotting by shard
-                // id so arrival order (host timing) cannot matter.
-                let mut staged: Vec<Vec<StagedMsg>> = (0..shards).map(|_| Vec::new()).collect();
-                let mut all_done = true;
-                for _ in 0..shards {
-                    match report_rx.recv().expect("worker alive") {
-                        Report::Window {
-                            shard,
-                            staged: s,
-                            clients_done,
-                        } => {
-                            all_done &= clients_done;
-                            staged[shard as usize] = s;
-                        }
-                        Report::Done(_) => unreachable!("Done before Finish"),
-                    }
-                }
-
-                // Deterministic merge: global (depart, src_shard, src_seq)
-                // order, then per-destination ingress serialization.
-                // A fleet with every client Done has no in-flight
-                // messages (a pending request or reply implies a blocked,
-                // unfinished client), so `all_done` plus an empty merge is
-                // a safe quiescence test.
-                let merged = comm::merge_windows(staged);
-                let quiescent = merged.is_empty();
-                fleet_msgs += merged.len() as u64;
-                for m in merged {
-                    let spec = &self.tenants[m.src as usize];
-                    let weight = cfg.weights.weight(spec.class).max(1);
-                    let stretch = (cfg.weights.total() / weight).max(1);
-                    let at = ingress.admit(m.dst, m.depart, ByteSize::bytes(m.bytes), stretch);
-                    let dst_shard = m.dst / cfg.tenants_per_shard;
-                    let local = m.dst % cfg.tenants_per_shard;
-                    // Requests land on the server vCPU, replies on the
-                    // client vCPU.
-                    let vcpu = 2 * local + u32::from(m.tag == TAG_REQ);
-                    pending[owner_of[dst_shard as usize]].push(Delivery {
-                        shard: dst_shard,
-                        at,
-                        vcpu,
-                        conn: u64::from(m.src),
-                        bytes: m.bytes,
-                    });
-                }
-
-                if all_done && quiescent {
-                    break;
-                }
-            }
-
-            for tx in &cmd_txs {
-                tx.send(Cmd::Finish).expect("worker alive");
-            }
-            let mut results: Vec<Option<ShardResult>> = (0..shards).map(|_| None).collect();
-            for _ in 0..shards {
-                match report_rx.recv().expect("worker alive") {
-                    Report::Done(r) => {
-                        let slot = r.shard as usize;
-                        results[slot] = Some(*r);
-                    }
-                    Report::Window { .. } => unreachable!("Window after Finish"),
-                }
-            }
-
-            // Combine in shard order: the digest is a pure function of
-            // simulation state.
-            let mut digest = Fnv1a::new();
-            let mut tenants = Vec::with_capacity(self.tenants.len());
-            let mut events = 0u64;
-            let mut finish = SimTime::ZERO;
-            for r in results.into_iter().map(|r| r.expect("every shard reports")) {
-                digest.write_u64(r.digest);
-                events += r.events;
-                finish = finish.max(r.finish);
-                for (tenant, samples) in r.tenants {
-                    tenants.push(TenantStats { tenant, samples });
-                }
-            }
-            out = Some(FleetReport {
-                tenants,
-                digest: digest.finish(),
-                windows,
-                events,
-                fleet_msgs,
-                finish,
-            });
-        });
-        out.expect("coordinator ran")
+        let jobs = jobs.clamp(1, (self.config.shards as usize).max(1));
+        if jobs == 1 {
+            let shards = (0..self.config.shards).map(|s| self.shard(s)).collect();
+            return self.drive(Inline(shards));
+        }
+        thread::scope(|scope| self.drive(Threads::spawn(self, scope, jobs)))
     }
 
-    /// Worker loop: build owned shards, then alternate
-    /// inject-run-drain per window until told to finish.
-    fn worker(&self, owned: Vec<u32>, rx: mpsc::Receiver<Cmd>, tx: mpsc::Sender<Report>) {
+    /// The barrier loop: runs windows on `exec` until the fleet is done,
+    /// merging each window's sends into the next window's deliveries.
+    #[allow(clippy::panic)] // documented contract: a hung fleet is a caller bug
+    fn drive(&self, mut exec: impl Executor) -> FleetReport {
         let cfg = &self.config;
-        let mut sims: Vec<VmSim> = owned.iter().map(|&s| self.build_shard(s)).collect();
-        let mut seqs: Vec<u64> = vec![0; owned.len()];
-        let index_of = |shard: u32| owned.iter().position(|&s| s == shard).expect("owned shard");
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                Cmd::Window { end, deliveries } => {
-                    for d in deliveries {
-                        let sim = &mut sims[index_of(d.shard)];
-                        sim.engine.external_ctx().schedule_at(
-                            d.at,
-                            Event::FleetDeliver {
-                                vcpu: VcpuId::new(d.vcpu),
-                                msg: GuestMsg::Net {
-                                    conn: d.conn,
-                                    bytes: d.bytes,
-                                },
-                            },
-                        );
-                    }
-                    for (i, sim) in sims.iter_mut().enumerate() {
-                        let shard = owned[i];
-                        sim.run_until(end);
-                        let staged = sim
-                            .world
-                            .drain_fleet_outbox()
-                            .into_iter()
-                            .map(|m| {
-                                let local = m.src_vcpu.0 / 2;
-                                let seq = seqs[i];
-                                seqs[i] += 1;
-                                StagedMsg {
-                                    depart: m.depart,
-                                    src_shard: shard,
-                                    src_seq: seq,
-                                    src: shard * cfg.tenants_per_shard + local,
-                                    dst: m.dst,
-                                    bytes: m.bytes,
-                                    tag: m.tag,
-                                }
-                            })
-                            .collect();
-                        let clients_done = (0..cfg.tenants_per_shard)
-                            .all(|t| sim.world.stats.vcpu_finish[2 * t as usize].is_some());
-                        tx.send(Report::Window {
-                            shard,
-                            staged,
-                            clients_done,
-                        })
-                        .expect("coordinator alive");
-                    }
-                }
-                Cmd::Finish => {
-                    for (i, sim) in sims.iter_mut().enumerate() {
-                        let shard = owned[i];
-                        tx.send(Report::Done(Box::new(shard_result(cfg, shard, sim))))
-                            .expect("coordinator alive");
-                    }
-                    break;
-                }
+        let shards = cfg.shards as usize;
+        let lookahead = cfg.fleet_link.lookahead();
+        assert!(
+            !lookahead.is_zero(),
+            "cross-shard link needs nonzero latency"
+        );
+
+        let mut barrier = Barrier {
+            inboxes: (0..shards).map(|_| Vec::new()).collect(),
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
+            // Unknown before the first window: time zero is a safe bound.
+            status: vec![
+                Status {
+                    next: Some(SimTime::ZERO),
+                    clients_done: false,
+                };
+                shards
+            ],
+        };
+        let mut ingress = IngressLine::new(cfg.fleet_link);
+        let mut merged: Vec<StagedMsg> = Vec::new();
+        let mut earliest_delivery: Option<SimTime> = None;
+        let mut windows = 0u64;
+        let mut fleet_msgs = 0u64;
+        loop {
+            // The lower bound on any shard's next event. A message sent at
+            // `t ≥ lbts` arrives at `t + W` or later, so a window ending
+            // at `lbts + W − 1 ns` (inclusive) can never receive one.
+            let lbts = barrier
+                .status
+                .iter()
+                .filter_map(|s| s.next)
+                .chain(earliest_delivery.take())
+                .min();
+            let Some(lbts) = lbts else {
+                break; // nothing pending anywhere
+            };
+            windows += 1;
+            assert!(
+                windows <= cfg.max_windows,
+                "fleet exceeded {} windows without finishing \
+                 (deadlocked tenant graph?)",
+                cfg.max_windows
+            );
+            let end = SimTime::from_nanos(lbts.as_nanos() + lookahead.as_nanos() - 1);
+            exec.window(end, &mut barrier);
+
+            // Deterministic merge: global (depart, src_shard, src_seq)
+            // order, then per-destination ingress serialization.
+            merged.clear();
+            comm::merge_windows(&mut barrier.outboxes, &mut merged);
+            // A fleet with every client done has no in-flight messages
+            // (a pending request or reply implies a blocked, unfinished
+            // client), so an empty merge with every client done is
+            // quiescent even if shards still hold events.
+            if merged.is_empty() && barrier.status.iter().all(|s| s.clients_done) {
+                break;
             }
+            fleet_msgs += merged.len() as u64;
+            for m in &merged {
+                let spec = &self.tenants[m.src as usize];
+                let weight = cfg.weights.weight(spec.class).max(1);
+                let stretch = (cfg.weights.total() / weight).max(1);
+                let at = ingress.admit(m.dst, m.depart, ByteSize::bytes(m.bytes), stretch);
+                earliest_delivery = Some(earliest_delivery.map_or(at, |f| f.min(at)));
+                let local = m.dst % cfg.tenants_per_shard;
+                // Requests land on the server vCPU, replies on the client
+                // vCPU.
+                barrier.inboxes[(m.dst / cfg.tenants_per_shard) as usize].push(Delivery {
+                    at,
+                    vcpu: 2 * local + u32::from(m.tag == TAG_REQ),
+                    conn: u64::from(m.src),
+                    bytes: m.bytes,
+                });
+            }
+        }
+
+        // Combine in shard order: the digest is a pure function of
+        // simulation state.
+        let mut digest = Fnv1a::new();
+        let mut tenants = Vec::with_capacity(self.tenants.len());
+        let mut events = 0u64;
+        let mut finish = SimTime::ZERO;
+        for r in exec.finish() {
+            digest.write_u64(r.digest);
+            events += r.events;
+            finish = finish.max(r.finish);
+            for (tenant, samples) in r.tenants {
+                tenants.push(TenantStats { tenant, samples });
+            }
+        }
+        FleetReport {
+            tenants,
+            digest: digest.finish(),
+            windows,
+            events,
+            fleet_msgs,
+            finish,
         }
     }
 
     /// Builds one shard: a small cluster hosting this shard's tenants,
     /// two vCPUs each, round-robin over the shared pCPU slab.
-    fn build_shard(&self, shard: u32) -> VmSim {
+    fn shard(&self, shard: u32) -> Shard {
         let cfg = &self.config;
         let nodes = cfg.nodes_per_shard;
         let base = shard * cfg.tenants_per_shard;
@@ -489,37 +661,13 @@ impl FleetSim {
         }
         let mut sim = b.build();
         sim.world.enable_fleet();
-        sim
-    }
-}
-
-/// Digest + stats for one finished shard.
-fn shard_result(cfg: &FleetConfig, shard: u32, sim: &mut VmSim) -> ShardResult {
-    let mut h = Fnv1a::new();
-    h.write_u64(u64::from(shard));
-    h.write_u64(sim.engine.delivered());
-    h.write_u64(sim.engine.now().as_nanos());
-    h.write_u64(sim.world.mem.dsm.state_digest());
-    let stats = &sim.world.stats;
-    for f in &stats.vcpu_finish {
-        h.write_u64(f.map_or(u64::MAX, SimTime::as_nanos));
-    }
-    for s in &stats.samples {
-        h.write_u64(s.len() as u64);
-        for &x in s {
-            h.write_u64(x);
+        Shard {
+            id: shard,
+            tenants_per_shard: cfg.tenants_per_shard,
+            sim,
+            seq: 0,
+            finished: 0,
         }
-    }
-    let base = shard * cfg.tenants_per_shard;
-    let tenants = (0..cfg.tenants_per_shard)
-        .map(|local| (base + local, stats.samples[2 * local as usize].clone()))
-        .collect();
-    ShardResult {
-        shard,
-        digest: h.finish(),
-        events: sim.engine.delivered(),
-        finish: stats.makespan(),
-        tenants,
     }
 }
 
@@ -773,6 +921,59 @@ mod tests {
             max(&incast),
             max(&uniform)
         );
+    }
+
+    /// Hash of what the tenants observe: every tenant's samples, in
+    /// tenant order, then the virtual finish time.
+    fn tenant_hash(r: &FleetReport) -> u64 {
+        let mut h = Fnv1a::new();
+        for t in &r.tenants {
+            h.write_u64(u64::from(t.tenant));
+            for &s in &t.samples {
+                h.write_u64(s);
+            }
+        }
+        h.write_u64(r.finish.as_nanos());
+        h.finish()
+    }
+
+    #[test]
+    fn tenant_output_is_pinned() {
+        // Recorded before the barrier loop was restructured: window
+        // placement is host-side bookkeeping and must not move what any
+        // tenant sees.
+        const PINNED: [(&str, u64, u64); 9] = [
+            ("uniform", 3, 0x8cd2_a8ab_d34e_904e),
+            ("uniform", 7, 0x4466_854e_1de6_8a87),
+            ("uniform", 11, 0x337f_e220_0be4_80ac),
+            ("noisy", 3, 0xc363_02b6_f3b8_2ba8),
+            ("noisy", 7, 0xdf0f_a47d_11e8_ea67),
+            ("noisy", 11, 0xdbbf_7b81_d181_479b),
+            ("incast", 3, 0x485f_f450_338a_0041),
+            ("incast", 7, 0x2ab5_96b9_8ed5_5b82),
+            ("incast", 11, 0x30f2_69e4_c4de_146f),
+        ];
+        for (name, seed, want) in PINNED {
+            let mut cfg = FleetConfig::new(2, 8);
+            cfg.seed = seed;
+            let total = cfg.tenants();
+            let peers = match name {
+                "uniform" => scenario::uniform(total),
+                "noisy" => scenario::noisy_neighbor(total, 4),
+                _ => scenario::incast(total),
+            };
+            let specs = peers.into_iter().map(TenantSpec::new).collect();
+            let got = tenant_hash(&FleetSim::new(cfg, specs).run(1));
+            assert_eq!(got, want, "{name} seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeded 3 windows")]
+    fn window_cap_trips_on_a_long_fleet() {
+        let mut fleet = small_fleet(2, 4, 7);
+        fleet.config.max_windows = 3;
+        fleet.run(1);
     }
 
     #[test]

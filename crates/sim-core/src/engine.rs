@@ -282,6 +282,11 @@ impl<E> Engine<E> {
         self.now
     }
 
+    /// Timestamp of the earliest pending event (`None` when idle).
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Total number of events delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
