@@ -407,6 +407,13 @@ impl Cluster {
         u32::try_from(self.total_free).unwrap_or(u32::MAX)
     }
 
+    /// The most free pCPUs on any one machine (O(buckets)): no single
+    /// machine fits a request for more.
+    pub fn largest_free_block(&self) -> u32 {
+        let top = self.by_free.iter().rposition(|b| !b.is_empty());
+        top.map_or(0, |cpus| cpus as u32)
+    }
+
     /// The nodes on which a VM currently holds resources, in node order.
     pub fn nodes_of(&self, vm: VmId) -> Vec<NodeId> {
         self.vm_nodes

@@ -10,12 +10,22 @@
 //! The simulator is sized for cluster studies of thousands of nodes and
 //! tens of thousands of arrivals: placement rides the cluster's free-CPU
 //! bucket index, consolidation scans only the live Aggregate VMs (not the
-//! whole trace), delayed VMs are retried only when the cluster has enough
-//! total free CPUs to possibly help, and timeline sampling can be
-//! decimated ([`DatacenterSim::sample_every`]) so report memory stays
-//! linear.
+//! whole trace), and timeline sampling can be decimated
+//! ([`DatacenterSim::sample_every`]) so report memory stays linear.
+//!
+//! Delayed VMs wait in a flat FIFO of `(arrival, shape)` pairs, where a
+//! shape is an interned `(cpus, ram)` request. A departure retries them
+//! only when the cluster has as many free CPUs as the smallest waiting
+//! request, in one compacting pass that calls the placer only for
+//! entries that may still start. A failed placement leaves the cluster
+//! untouched, so between two successes a shape that needs more than the
+//! free room, or has already failed, fails again; its entries are kept
+//! without a call. Each skip returns exactly what the call would have,
+//! so the timeline and every counter, `retry_attempts` included, match a
+//! loop that attempts every entry in order and stops when the cluster
+//! runs out of free CPUs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 use cluster::{Cluster, FragmentationReport, MachineSpec, ResourceRequest, VmId};
 use comm::NodeId;
@@ -136,6 +146,15 @@ struct LiveAggregate {
     homes: Vec<NodeId>,
 }
 
+/// One `(cpus, ram)` request shape seen in the delayed queue.
+#[derive(Debug)]
+struct Shape {
+    req: ResourceRequest,
+    /// The stretch in which this shape's placement last failed (0 =
+    /// never).
+    failed_in: u64,
+}
+
 /// Reference request for fragmentation snapshots (the modal 4-vCPU VM).
 fn frag_reference() -> ResourceRequest {
     ResourceRequest::new(4, sim_core::units::ByteSize::gib(4))
@@ -152,13 +171,20 @@ pub struct DatacenterSim {
     /// the state needed to prove a consolidation no-op without touching
     /// the cluster ledger.
     live_aggregates: BTreeMap<usize, LiveAggregate>,
-    delayed: VecDeque<usize>,
+    /// Waiting VMs, oldest first: arrival index and [`Shape`] id.
+    delayed: Vec<(u32, u32)>,
     /// Smallest vCPU request waiting in `delayed` (`u32::MAX` when empty):
     /// a departure skips the whole retry pass when even that much free
     /// capacity does not exist cluster-wide.
     delayed_min_cpus: u32,
-    /// Whether a `Delayed` event was already logged for each arrival.
-    delayed_logged: Vec<bool>,
+    /// Every shape ever delayed, interned on first delay. Traces draw
+    /// from a catalog of a few dozen shapes, so a linear scan finds them.
+    /// Ids are `u32`: a `(u32, u16)` queue entry would pad to 8 bytes
+    /// anyway.
+    shapes: Vec<Shape>,
+    /// Stretches of retrying between two cluster changes so far: one per
+    /// retry pass and one per delayed start (stamps [`Shape::failed_in`]).
+    stretch: u64,
     /// Observe the first aggregate-placed VM with this many vCPUs.
     observe_cpus: Option<u32>,
     /// When false, FragBFF is disabled: unplaceable VMs are only delayed
@@ -203,16 +229,16 @@ impl DatacenterSim {
                 false,
             ),
         };
-        let delayed_logged = vec![false; trace.len()];
         DatacenterSim {
             cluster: Cluster::homogeneous(nodes, spec),
             fit,
             fragbff: FragBff::new(consolidation),
             trace,
             live_aggregates: BTreeMap::new(),
-            delayed: VecDeque::new(),
+            delayed: Vec::new(),
             delayed_min_cpus: u32::MAX,
-            delayed_logged,
+            shapes: Vec::new(),
+            stretch: 0,
             observe_cpus: None,
             enable_aggregate,
             sample_every: 1,
@@ -270,7 +296,9 @@ impl DatacenterSim {
             report.events_processed += 1;
             match ev {
                 DcEvent::Arrival(i) => {
-                    self.try_place(i, now, &mut queue, &mut report, false);
+                    if !self.try_place(i, now, &mut queue, &mut report, false) {
+                        self.delay(i, now, &mut report);
+                    }
                 }
                 DcEvent::Departure(vm) => {
                     self.cluster.release_vm(vm);
@@ -284,61 +312,9 @@ impl DatacenterSim {
                     // (oldest first), then consolidate aggregates. The
                     // pass is skipped when even the smallest delayed
                     // request exceeds the cluster's total free CPUs —
-                    // nothing could possibly place. Within a pass, a VM
-                    // needing more CPUs than are free anywhere is
-                    // re-queued without a placement attempt (total free
-                    // CPUs is a necessary condition for both single and
-                    // aggregate starts), and the pass ends outright when
-                    // the cluster has no free CPU left — both O(1)
-                    // prechecks that keep a long queue from turning every
-                    // departure into a full placement sweep.
+                    // nothing could possibly place.
                     if self.delayed_min_cpus <= self.cluster.total_free_cpus() {
-                        let retries: Vec<usize> = self.delayed.drain(..).collect();
-                        self.delayed_min_cpus = u32::MAX;
-                        // Shapes that already failed this pass. Placement
-                        // is a pure function of the cluster state and the
-                        // `(cpus, ram)` request, and a failed attempt
-                        // leaves the cluster untouched — so until some
-                        // placement succeeds (changing the state), an
-                        // identical request must fail identically and the
-                        // attempt can be skipped. The skip reproduces the
-                        // failure path exactly (counter bump + re-queue),
-                        // keeping reports byte-identical.
-                        let mut failed_shapes: BTreeSet<(u32, u64)> = BTreeSet::new();
-                        for (k, &i) in retries.iter().enumerate() {
-                            let free = self.cluster.total_free_cpus();
-                            if free == 0 {
-                                // Nothing else can place; re-queue the
-                                // rest of the pass untouched, in order.
-                                for &j in &retries[k..] {
-                                    self.delayed.push_back(j);
-                                    self.delayed_min_cpus =
-                                        self.delayed_min_cpus.min(self.trace.arrivals[j].cpus);
-                                }
-                                break;
-                            }
-                            report.retry_attempts += 1;
-                            let a = self.trace.arrivals[i];
-                            let cpus = a.cpus;
-                            if cpus > free {
-                                self.delayed.push_back(i);
-                                self.delayed_min_cpus = self.delayed_min_cpus.min(cpus);
-                                continue;
-                            }
-                            let shape = (cpus, a.ram.as_u64());
-                            if failed_shapes.contains(&shape) {
-                                self.delayed.push_back(i);
-                                self.delayed_min_cpus = self.delayed_min_cpus.min(cpus);
-                                continue;
-                            }
-                            let queued_before = self.delayed.len();
-                            self.try_place(i, now, &mut queue, &mut report, true);
-                            if self.delayed.len() > queued_before {
-                                failed_shapes.insert(shape);
-                            } else {
-                                failed_shapes.clear();
-                            }
-                        }
+                        self.retry_pass(now, &mut queue, &mut report);
                     }
                     self.consolidate_live(now, &mut report);
                 }
@@ -349,6 +325,69 @@ impl DatacenterSim {
         report
     }
 
+    /// Retries the delayed VMs oldest first, compacting the queue in place
+    /// (the module docs say why every skip is exact).
+    ///
+    /// The room is read once per stretch between two successes. An entry
+    /// is kept without a placement call when its shape needs more than
+    /// the room or has failed in this stretch. A success that takes the
+    /// last free CPU ends the pass: the unvisited tail moves down and is
+    /// not counted as retried.
+    fn retry_pass(
+        &mut self,
+        now: SimTime,
+        queue: &mut EventQueue<DcEvent>,
+        report: &mut SimReport,
+    ) {
+        self.stretch += 1;
+        let len = self.delayed.len();
+        let mut free = self.cluster.total_free_cpus();
+        let mut room = self.room(free);
+        let mut min_cpus = u32::MAX;
+        let (mut r, mut w) = (0, 0);
+        while r < len && free > 0 {
+            let (i, id) = self.delayed[r];
+            r += 1;
+            let shape = &self.shapes[id as usize];
+            let cpus = shape.req.cpus;
+            if cpus <= room && shape.failed_in != self.stretch {
+                if self.try_place(i as usize, now, queue, report, true) {
+                    self.stretch += 1;
+                    free = self.cluster.total_free_cpus();
+                    room = self.room(free);
+                    continue;
+                }
+                self.shapes[id as usize].failed_in = self.stretch;
+            }
+            self.delayed[w] = (i, id);
+            w += 1;
+            min_cpus = min_cpus.min(cpus);
+        }
+        for &(_, id) in &self.delayed[r..] {
+            min_cpus = min_cpus.min(self.shapes[id as usize].req.cpus);
+        }
+        if w < r {
+            self.delayed.copy_within(r.., w);
+            self.delayed.truncate(w + (len - r));
+        }
+        report.retry_attempts += r as u64;
+        self.delayed_min_cpus = min_cpus;
+    }
+
+    /// The most vCPUs any request can start with, given `free` CPUs
+    /// cluster-wide: all of them for an Aggregate VM, one machine's worth
+    /// without aggregates.
+    fn room(&self, free: u32) -> u32 {
+        if self.enable_aggregate {
+            free
+        } else {
+            self.cluster.largest_free_block()
+        }
+    }
+
+    /// Starts VM `i` now, whole on one machine or (with FragBFF) as an
+    /// Aggregate VM; false when it fits nowhere and the cluster is left
+    /// untouched.
     fn try_place(
         &mut self,
         i: usize,
@@ -356,7 +395,7 @@ impl DatacenterSim {
         queue: &mut EventQueue<DcEvent>,
         report: &mut SimReport,
         retry: bool,
-    ) {
+    ) -> bool {
         let a = self.trace.arrivals[i];
         let vm = VmId::from_usize(i);
         let req = ResourceRequest::new(a.cpus, a.ram);
@@ -373,7 +412,7 @@ impl DatacenterSim {
                     PlacementKind::Single(node)
                 },
             });
-            return;
+            return true;
         }
         if self.enable_aggregate {
             if let Some(assignment) = self.fragbff.place_aggregate(&mut self.cluster, vm, req) {
@@ -395,23 +434,37 @@ impl DatacenterSim {
                     vm,
                     kind: PlacementKind::Aggregate(assignment.parts),
                 });
-                return;
+                return true;
             }
         }
-        // Delay the VM until resources free up. The timeline records the
-        // delay once; re-attempts only bump the counter (re-logging every
-        // failed retry made the event log quadratic at scale).
-        self.delayed.push_back(i);
+        false
+    }
+
+    /// Queues arrival `i`, which fits nowhere, until resources free up.
+    /// The timeline records the delay once; failed retries only bump the
+    /// counter (re-logging every one made the event log quadratic at
+    /// scale).
+    fn delay(&mut self, i: usize, now: SimTime, report: &mut SimReport) {
+        let a = self.trace.arrivals[i];
+        let id = self.intern(ResourceRequest::new(a.cpus, a.ram));
+        let index = u32::try_from(i).expect("trace fits u32 arrival indices");
+        self.delayed.push((index, id));
         self.delayed_min_cpus = self.delayed_min_cpus.min(a.cpus);
-        if !self.delayed_logged[i] {
-            self.delayed_logged[i] = true;
-            report.delayed += 1;
-            report.events.push(PlacementEvent {
-                at: now,
-                vm,
-                kind: PlacementKind::Delayed,
-            });
+        report.delayed += 1;
+        report.events.push(PlacementEvent {
+            at: now,
+            vm: VmId::from_usize(i),
+            kind: PlacementKind::Delayed,
+        });
+    }
+
+    /// The id of `req`'s shape, interning it on first sight.
+    fn intern(&mut self, req: ResourceRequest) -> u32 {
+        if let Some(id) = self.shapes.iter().position(|s| s.req == req) {
+            return id as u32;
         }
+        self.shapes.push(Shape { req, failed_in: 0 });
+        u32::try_from(self.shapes.len() - 1).expect("shape ids fit u32")
     }
 
     fn consolidate_live(&mut self, now: SimTime, report: &mut SimReport) {
@@ -663,6 +716,166 @@ mod tests {
             .expect("vm4 eventually starts");
         // The delayed start is auditable: it carries the landing node.
         assert_eq!(start.kind, PlacementKind::DelayedStart(NodeId::new(0)));
+    }
+
+    /// FNV-1a of a report's full `Debug` rendering: the timeline, the
+    /// free-CPU, fragmentation and observed-slice series, wait times and
+    /// every counter.
+    fn report_digest(r: &SimReport) -> u64 {
+        sim_core::digest::fnv1a(format!("{r:?}").as_bytes())
+    }
+
+    /// A mixed-shape trace offering ~1.3x the CPUs of 6 fig14 nodes, so
+    /// the delayed queue stays long.
+    fn saturated_mixed(seed: u64) -> ArrivalTrace {
+        let mut rng = DetRng::new(seed);
+        ArrivalTrace::generate_mixed(
+            &mut rng,
+            400,
+            SimTime::from_millis(600),
+            SimTime::from_secs(30),
+        )
+    }
+
+    /// 99 distinct `(cpus, ram)` shapes, up to 16.5 GiB so that RAM binds
+    /// too, plus one zero-RAM VM, arriving far faster than 4 nodes can
+    /// host them.
+    fn many_shapes_trace() -> ArrivalTrace {
+        let arrivals = (0..240u64)
+            .map(|k| VmArrival {
+                at: SimTime::from_millis(50 * k),
+                cpus: 1 + (k % 9) as u32,
+                ram: if k == 120 {
+                    ByteSize::bytes(0)
+                } else {
+                    ByteSize::mib(1536 * (1 + k % 11))
+                },
+                lifetime: SimTime::from_millis(3_000 + 997 * (k % 13)),
+            })
+            .collect();
+        ArrivalTrace { arrivals }
+    }
+
+    /// Pins whole reports, so a change to the replay (the retry pass in
+    /// particular) cannot shift any output unnoticed.
+    #[test]
+    fn reports_are_pinned() {
+        let policies = [
+            PlacementPolicy::FragBff(ConsolidationPolicy::MinFragmentation),
+            PlacementPolicy::FragBff(ConsolidationPolicy::MinNodes),
+            PlacementPolicy::FirstFit,
+            PlacementPolicy::WorstFit,
+        ];
+        let mut got = Vec::new();
+        for seed in [5, 6] {
+            for policy in policies {
+                let r = DatacenterSim::with_policy(
+                    6,
+                    MachineSpec::fig14(),
+                    policy,
+                    saturated_mixed(seed),
+                )
+                .observe_first_aggregate(4)
+                .run();
+                got.push(report_digest(&r));
+            }
+        }
+        let r = DatacenterSim::new(
+            6,
+            MachineSpec::fig14(),
+            ConsolidationPolicy::MinNodes,
+            saturated_mixed(5),
+        )
+        .without_aggregates()
+        .run();
+        got.push(report_digest(&r));
+        for policy in [policies[0], policies[2]] {
+            let r =
+                DatacenterSim::with_policy(4, MachineSpec::fig14(), policy, many_shapes_trace())
+                    .run();
+            // The trace must exercise a long queue of many shapes.
+            let trace = many_shapes_trace();
+            let delayed_shapes: std::collections::BTreeSet<(u32, u64)> = r
+                .events
+                .iter()
+                .filter(|e| e.kind == PlacementKind::Delayed)
+                .map(|e| {
+                    let a = trace.arrivals[e.vm.index()];
+                    (a.cpus, a.ram.as_u64())
+                })
+                .collect();
+            assert!(delayed_shapes.len() > 64, "{} shapes", delayed_shapes.len());
+            assert!(r.retry_attempts >= 10 * r.delayed);
+            got.push(report_digest(&r));
+        }
+        // Recorded before the retry pass was rewritten around a flat
+        // queue.
+        assert_eq!(
+            got,
+            [
+                0x8a4db5d379fbb72e,
+                0x4168a80c5ed93d47,
+                0x55a2e413479a817e,
+                0x0ed51f92104d3875,
+                0x44ea1742fae75067,
+                0x2a69cf1a66cdb1ca,
+                0x8c0b3143f27209ec,
+                0x6877adaff2095ee7,
+                0x6095d4dbba3c5a3b,
+                0x6df259f621db84c8,
+                0xc18cd1c246f368ee,
+            ]
+        );
+    }
+
+    /// A delayed start that takes the last free CPU ends the pass: only
+    /// the entries visited so far count as retries, the rest wait in
+    /// order, and a departure that frees less than the smallest waiting
+    /// request runs no pass at all.
+    #[test]
+    fn retry_pass_stops_at_the_last_free_cpu() {
+        let arr = |at_ms: u64, cpus: u32, life_s: u64| VmArrival {
+            at: SimTime::from_millis(at_ms),
+            cpus,
+            ram: ByteSize::gib(u64::from(cpus)),
+            lifetime: SimTime::from_secs(life_s),
+        };
+        let trace = ArrivalTrace {
+            arrivals: vec![
+                arr(0, 12, 100),  // vm0 → node0 (full)
+                arr(100, 7, 2),   // vm1 → node1, leaves at 2.1 s
+                arr(200, 4, 100), // vm2 → node1
+                arr(300, 1, 3),   // vm3 → node1 (full), leaves at 3.3 s
+                arr(400, 5, 10),  // vm4..vm7 wait
+                arr(500, 2, 100),
+                arr(600, 2, 100),
+                arr(700, 2, 100),
+            ],
+        };
+        let r = DatacenterSim::new(
+            2,
+            MachineSpec::fig14(),
+            ConsolidationPolicy::MinFragmentation,
+            trace,
+        )
+        .run();
+        assert_eq!(r.delayed, 4);
+        // 2.1 s: 7 CPUs free; vm4 and vm5 start and take them all, so vm6
+        // and vm7 are never visited. 3.3 s: 1 CPU free < 2, no pass.
+        // 12.1 s: vm4 leaves; vm6 and vm7 start. A pass that counted the
+        // unvisited tail, or ran at 3.3 s, would count 6.
+        assert_eq!(r.retry_attempts, 4);
+        let starts: Vec<(SimTime, usize)> = r
+            .events
+            .iter()
+            .filter(|e| e.kind == PlacementKind::DelayedStart(NodeId::new(1)))
+            .map(|e| (e.at, e.vm.index()))
+            .collect();
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            starts,
+            [(ms(2100), 4), (ms(2100), 5), (ms(12100), 6), (ms(12100), 7)]
+        );
     }
 
     #[test]
