@@ -36,14 +36,14 @@ pub fn capture_reference_trace() -> TraceReport {
     let _ = fragvisor::aggregate::consolidate_onto(&mut sim, comm::NodeId::new(0));
     sim.run_client();
 
-    let events = tracer.snapshot();
-    let violations = sim_core::audit::audit(&events)
+    let violations = sim_core::audit::audit_tracer(&tracer)
+        .expect("the reference trace is unsampled")
         .iter()
         .map(|v| v.to_string())
         .collect();
     TraceReport {
         jsonl: tracer.to_jsonl(),
-        events: events.len(),
+        events: tracer.len(),
         dropped: tracer.dropped(),
         violations,
     }

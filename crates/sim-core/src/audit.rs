@@ -906,13 +906,15 @@ pub fn audit(events: &[TraceEvent]) -> Vec<Violation> {
 /// and returns `Err` instead of producing false positives. Audit a raw
 /// event slice with [`audit`] only when you know it is complete.
 ///
+/// The ring is audited in place, under a borrow, without copying it.
+///
 /// [`Tracer`]: crate::trace::Tracer
 /// [`Tracer::with_sampling`]: crate::trace::Tracer::with_sampling
 pub fn audit_tracer(tracer: &crate::trace::Tracer) -> Result<Vec<Violation>, &'static str> {
     if tracer.sampling() > 1 {
         return Err("refusing to audit a sampled trace: the invariants assume a complete stream");
     }
-    Ok(audit(&tracer.snapshot()))
+    Ok(tracer.with_events(audit))
 }
 
 /// Audits a trace and panics with a readable report if any invariant is
