@@ -3,8 +3,8 @@
 //! * [`ablation_study`] — how much each FragVisor mechanism contributes
 //!   (the paper only evaluates the full system plus the guest-kernel
 //!   toggle of Figure 10).
-//! * [`reliability_study`] — quantifies §4's reliability sketch:
-//!   proactive predicted-failure drains vs reactive checkpoint/restart.
+//! * [`reliability_study`] — quantifies §4's reliability sketch in the
+//!   running VM: a predicted-failure drain vs checkpoint/restart.
 //! * [`provisioning_study`] — the paper's goal (a): Aggregate VMs start
 //!   *now* on fragments instead of waiting for a whole machine; measures
 //!   time-to-start against the delayed-allocation baseline.
@@ -14,9 +14,13 @@ use comm::{LinkProfile, NodeId};
 use dsm::DsmConfig;
 use fragvisor::{scenarios, Distribution, HypervisorProfile};
 use guest::GuestConfig;
-use hypervisor::reliability::{crash_recovery, force_drain, CrashScenario};
-use hypervisor::Placement;
+use hypervisor::checkpoint;
+use hypervisor::failure::FailureConfig;
+use hypervisor::program::FixedCompute;
+use hypervisor::{Placement, VmBuilder};
 use scheduler::{ArrivalTrace, ConsolidationPolicy, DatacenterSim};
+use sim_core::audit::audit_tracer;
+use sim_core::fault::FaultPlan;
 use sim_core::rng::DetRng;
 use sim_core::time::SimTime;
 use sim_core::units::{Bandwidth, ByteSize};
@@ -132,73 +136,111 @@ pub fn ablation_study() -> Table {
     t
 }
 
-/// Reliability: proactive drain vs reactive checkpoint/restart.
+/// Heartbeat detector of the reliability study: 125 ms probes, three
+/// misses, so a crash is declared within half a second.
+fn reliability_detector(checkpoint_interval: SimTime) -> FailureConfig {
+    FailureConfig {
+        heartbeat_interval: SimTime::from_millis(125),
+        miss_threshold: 3,
+        checkpoint_interval,
+        ..FailureConfig::default()
+    }
+}
+
+/// Runs the reliability study's VM to completion: 4 slices, 12 GiB, a
+/// 2 GiB resident dataset per node, and node 3 crashing at `crash`. Every
+/// vCPU computes for twice that, so the crash hits a running VM. The run
+/// is traced and must audit clean.
+fn reliability_run(crash: SimTime, cfg: FailureConfig) -> hypervisor::VmSim {
+    let mut b = VmBuilder::new(HypervisorProfile::fragvisor(), 4)
+        .ram(ByteSize::gib(12))
+        .with_fault_plan(FaultPlan::scripted(0).crash(3, crash))
+        .with_failure_detector(cfg);
+    for i in 0..4 {
+        b = b.vcpu(Placement::new(i, 0), Box::new(FixedCompute::new(crash * 2)));
+    }
+    let mut sim = b.build();
+    for n in 0..4u32 {
+        let _ = sim.world.mem.register_resident_dataset(
+            &format!("d{n}"),
+            ByteSize::gib(2),
+            NodeId::new(n),
+        );
+    }
+    let tracer = sim.enable_tracing(1 << 16);
+    sim.run();
+    let violations = audit_tracer(&tracer).expect("the trace fits its ring");
+    assert!(violations.is_empty(), "reliability run: {violations:?}");
+    sim
+}
+
+/// Reliability: predicted-failure drain vs checkpoint/restart, both run
+/// inside `VmSim` through the heartbeat detector and a scripted crash.
 pub fn reliability_study() -> Table {
     let mut t = Table::new(
         "Reliability (§4)",
         "surviving a node failure: predicted drain vs checkpoint/restart",
         &["strategy", "downtime", "work lost", "steady-state cost"],
     );
-    // A 4-slice VM with a 2 GiB-per-node footprint.
-    let build = || {
-        let mut b =
-            hypervisor::VmBuilder::new(HypervisorProfile::fragvisor(), 4).ram(ByteSize::gib(12));
-        for i in 0..4 {
-            b = b.vcpu(
-                Placement::new(i, 0),
-                Box::new(hypervisor::program::FixedCompute::new(SimTime::from_secs(
-                    5,
-                ))),
-            );
-        }
-        let mut sim = b.build();
-        for n in 0..4u32 {
-            let _ = sim.world.mem.register_resident_dataset(
-                &format!("d{n}"),
-                ByteSize::gib(2),
-                NodeId::new(n),
-            );
-        }
-        sim
-    };
 
-    // Proactive: MCA/AER predicts the failure; drain node 3 live.
-    let mut sim = build();
-    sim.run_until(SimTime::from_secs(1));
-    let drain = force_drain(&mut sim, NodeId::new(3), NodeId::new(0)).expect("fragvisor is mobile");
+    // Proactive: MCA/AER predicts node 3's crash 500 ms ahead; its vCPU
+    // and master copies drain live to node 0.
+    let cfg = FailureConfig {
+        prediction_lead: Some(SimTime::from_millis(500)),
+        ..reliability_detector(SimTime::from_secs(60))
+    };
+    let sim = reliability_run(SimTime::from_millis(1500), cfg);
+    let s = &sim.world.stats;
+    assert_eq!(
+        s.lost_work,
+        SimTime::ZERO,
+        "a completed drain loses no work"
+    );
     t.row(vec![
         "predicted-failure drain".to_string(),
-        format!("{} (VM keeps running)", drain.duration),
-        "none".to_string(),
+        format!(
+            "{} ({} drain, VM keeps running)",
+            secs(s.recovery_downtime),
+            s.drain_time
+        ),
+        secs(s.lost_work),
         format!(
             "{} vCPU migrations + {} of pages",
-            drain.vcpus_moved,
-            ByteSize::bytes(drain.pages_moved * 4096)
+            s.migrations,
+            ByteSize::bytes(s.pages_drained * 4096)
         ),
     ]);
 
-    // Reactive: checkpoint/restart at several intervals.
+    // Reactive: the crash lands mid-interval, so the realised rollback is
+    // the expected half interval; node 3's slice restores from disk.
     for interval_s in [60u64, 300, 900] {
-        let r = crash_recovery(CrashScenario {
-            checkpoint_interval: SimTime::from_secs(interval_s),
-            detection: SimTime::from_millis(500),
-            image: ByteSize::gib(8),
-            slices: 4,
-            disk: Bandwidth::mb_per_sec(500.0),
-            link: LinkProfile::infiniband_56g(),
-        });
+        let interval = SimTime::from_secs(interval_s);
+        let cfg = reliability_detector(interval);
+        let sim = reliability_run(interval / 2, cfg);
+        let s = &sim.world.stats;
+        // One checkpoint of the whole image per interval.
+        let image = checkpoint::checkpoint(
+            &sim.world.mem,
+            cfg.restore_to,
+            cfg.restore_disk,
+            sim.world.profile().link,
+        );
         t.row(vec![
             format!("checkpoint every {interval_s}s"),
-            secs(r.expected_downtime),
-            secs(r.expected_lost_work),
-            format!("{:.1}% of runtime", r.checkpoint_overhead * 100.0),
+            secs(s.recovery_downtime + s.lost_work),
+            secs(s.lost_work),
+            format!(
+                "{:.1}% of runtime",
+                image.duration.as_secs_f64() / interval.as_secs_f64() * 100.0
+            ),
         ]);
     }
     t.note(
-        "Unpredicted failures cost tens of seconds of downtime plus the \
-         work since the last checkpoint; a predicted failure costs sub- \
-         second mobility work and loses nothing — mobility is the cheap \
-         half of the paper's reliability story.",
+        "Unpredicted failures cost the detection timeout, the dead slice's \
+         restore from disk and the work since the last checkpoint; a \
+         predicted failure costs sub-second mobility work and loses \
+         nothing — mobility is the cheap half of the paper's reliability \
+         story.",
     );
     t
 }
@@ -413,4 +455,37 @@ pub fn provisioning_study() -> Table {
         spread.total - single.total,
     ));
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The closed form the in-sim restore must land near: detection after
+    /// `miss_threshold` missed probes, the dead slice's 2 GiB share
+    /// streamed back from disk, and half an interval of rolled-back work.
+    #[test]
+    fn checkpoint_restore_matches_closed_form() {
+        for interval_s in [60u64, 300, 900] {
+            let interval = SimTime::from_secs(interval_s);
+            let cfg = reliability_detector(interval);
+            let sim = reliability_run(interval / 2, cfg);
+            let s = &sim.world.stats;
+            let detection = cfg.heartbeat_interval * u64::from(cfg.miss_threshold);
+            let restore = checkpoint::restore(
+                ByteSize::gib(2),
+                1,
+                cfg.restore_disk,
+                sim.world.profile().link,
+            );
+            let oracle = detection + restore + interval / 2;
+            let got = s.recovery_downtime + s.lost_work;
+            let gap = got.max(oracle) - got.min(oracle);
+            assert!(
+                gap <= cfg.heartbeat_interval,
+                "{interval_s}s: in-sim {got} vs closed form {oracle}"
+            );
+            assert_eq!(s.lost_work, interval / 2);
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Live-recovery study: detection timeout × checkpoint interval × loss.
 //!
-//! Unlike [`super::reliability_study`], which prices drain vs restart
-//! analytically, this experiment runs the full closed loop inside `VmSim`:
-//! a scripted crash kills a slice mid-run, the heartbeat detector notices,
+//! Where [`super::reliability_study`] sets one drain against a few
+//! checkpoint intervals, this experiment sweeps the restore loop's knobs
+//! inside `VmSim`: a scripted crash kills a slice mid-run, the heartbeat
+//! detector notices,
 //! the DSM quarantines the dead node's pages, and the guest resumes from
 //! the checkpoint image. The sweep shows the two knobs an operator
 //! actually holds — how aggressively to probe and how often to

@@ -161,8 +161,8 @@ pub struct ReclaimOutcome {
     pub latency: SimTime,
 }
 
-/// Running totals a reclaimer maintains, synced into
-/// [`crate::stats::VmStats`] when a simulation finishes.
+/// Running totals a reclaimer maintains; read them through
+/// [`crate::memory::VmMemory::reclaim_counters`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReclaimCounters {
     /// Faults that triggered a synchronous reclaim round.

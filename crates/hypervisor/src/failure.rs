@@ -14,12 +14,15 @@
 //!   is streamed back.
 //! * **Proactive** (when [`FailureConfig::prediction_lead`] is set):
 //!   hardware monitoring predicts the failure ahead of time and the
-//!   hypervisor force-drains the suspect slice — vCPU migrations plus a
-//!   DSM master-copy drain — so the eventual crash hits an empty slice.
+//!   hypervisor drains the suspect slice — vCPU k migrates to pCPU k of
+//!   the restore node, and the DSM master copies follow as one bulk
+//!   page stream priced on the fabric — so the eventual crash hits an
+//!   empty slice and costs no lost work.
 //!
 //! The detector's timing knobs trade detection latency against false
 //! positives under link loss; `exp_fault_recovery` in the bench harness
-//! sweeps them.
+//! sweeps them, and `exp_reliability` sets the drain against
+//! checkpoint/restart.
 
 use comm::NodeId;
 use sim_core::time::SimTime;

@@ -52,10 +52,11 @@ pub struct VmStats {
     pub pages_quarantined: u64,
     /// DSM master copies moved by proactive drains.
     pub pages_drained: u64,
+    /// Total duration of proactive drains: each lasts until the slower of
+    /// its page stream and a vCPU migration finishes.
+    pub drain_time: SimTime,
     /// Scripted partition windows that opened.
     pub partitions: u64,
-    /// Cluster-epoch bumps (one per declared-dead node).
-    pub epoch_bumps: u64,
     /// Fenced nodes readmitted after a partition healed.
     pub rejoins: u64,
     /// Recoveries that fell back from the configured restore target to
@@ -63,18 +64,6 @@ pub struct VmStats {
     pub restore_fallbacks: u64,
     /// vCPU migrations refused during drains.
     pub migrations_refused: u64,
-    /// Faults that triggered a synchronous memory-reclaim round.
-    pub pressure_stalls: u64,
-    /// DSM master copies evicted to a remote node by the borrow policy.
-    pub pages_evicted: u64,
-    /// Pages handed back by the balloon driver.
-    pub pages_ballooned: u64,
-    /// Pages discarded by slice deflation.
-    pub pages_deflated: u64,
-    /// Pages demoted to the swap tier.
-    pub pages_swapped: u64,
-    /// Total synchronous reclaim stall time.
-    pub reclaim_latency: SimTime,
 }
 
 impl VmStats {
@@ -101,17 +90,11 @@ impl VmStats {
             lost_work: SimTime::ZERO,
             pages_quarantined: 0,
             pages_drained: 0,
+            drain_time: SimTime::ZERO,
             partitions: 0,
-            epoch_bumps: 0,
             rejoins: 0,
             restore_fallbacks: 0,
             migrations_refused: 0,
-            pressure_stalls: 0,
-            pages_evicted: 0,
-            pages_ballooned: 0,
-            pages_deflated: 0,
-            pages_swapped: 0,
-            reclaim_latency: SimTime::ZERO,
         }
     }
 

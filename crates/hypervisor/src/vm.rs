@@ -604,19 +604,6 @@ impl VmWorld {
         self.tracer = tracer;
     }
 
-    /// Copies the memory-elasticity counters into [`VmStats`] (no-op when
-    /// elasticity is off).
-    pub(crate) fn sync_elastic_stats(&mut self) {
-        if let Some(c) = self.mem.reclaim_counters() {
-            self.stats.pressure_stalls = c.pressure_stalls;
-            self.stats.pages_evicted = c.pages_evicted;
-            self.stats.pages_ballooned = c.pages_ballooned;
-            self.stats.pages_deflated = c.pages_deflated;
-            self.stats.pages_swapped = c.pages_swapped;
-            self.stats.reclaim_latency = c.reclaim_latency;
-        }
-    }
-
     /// Attaches a fleet outbox: from here on [`Op::FleetSend`] stages
     /// messages for the window-barrier exchange instead of erroring.
     pub fn enable_fleet(&mut self) {
@@ -1608,7 +1595,6 @@ impl VmWorld {
             // are rejected, even if it is merely partitioned and alive.
             self.mem.dsm.set_clock(ctx.now);
             self.mem.dsm.bump_epoch(dst);
-            self.stats.epoch_bumps += 1;
             ctx.schedule_now(Event::RecoverNode { node: dst });
         }
         let f = self.failure.as_ref().expect("checked above");
@@ -1673,13 +1659,6 @@ impl VmWorld {
         //    since the last checkpoint is charged to the stats instead.
         let image = ByteSize::bytes(pages * 4096);
         let restore_time = checkpoint::restore(image, 1, cfg.restore_disk, self.profile.link);
-        if let Some(crash) = self.crashed[node.index()] {
-            let interval = cfg.checkpoint_interval.as_nanos();
-            if interval > 0 {
-                self.stats.lost_work += SimTime::from_nanos(crash.as_nanos() % interval);
-            }
-            self.stats.recovery_downtime += (ctx.now - crash) + restore_time;
-        }
         self.tracer.emit_with(|| TraceEvent::NodeRestore {
             at: ctx.now.as_nanos(),
             node: node.0,
@@ -1689,6 +1668,7 @@ impl VmWorld {
         // 3. Re-place the slice's vCPUs on the restore node; they resume
         //    once the image is back in memory.
         let resume_at = ctx.now + restore_time;
+        let mut restored_vcpus = 0;
         for i in 0..self.vcpus.len() {
             let failed_here = {
                 let v = &self.vcpus[i];
@@ -1698,8 +1678,8 @@ impl VmWorld {
                 continue;
             }
             // Land each vCPU on its own spare core of the restore node
-            // (same pCPU-k-for-vCPU-k convention as a proactive drain)
-            // rather than piling onto an already-busy core.
+            // (pCPU k for vCPU k, as `predict_failure` drains) rather
+            // than piling onto an already-busy core.
             let pcpu = i as u32;
             let slot = self.ensure_pcpu(target, pcpu);
             self.vcpus[i].node = target;
@@ -1712,6 +1692,17 @@ impl VmWorld {
                     vcpu: VcpuId::from_usize(i),
                 },
             );
+            restored_vcpus += 1;
+        }
+        // 4. Charge the rollback only if this pass restored something: a
+        //    slice a predicted drain already emptied loses no work.
+        let crash = self.crashed[node.index()];
+        if let Some(crash) = crash.filter(|_| pages > 0 || restored_vcpus > 0) {
+            let interval = cfg.checkpoint_interval.as_nanos();
+            if interval > 0 {
+                self.stats.lost_work += SimTime::from_nanos(crash.as_nanos() % interval);
+            }
+            self.stats.recovery_downtime += (ctx.now - crash) + restore_time;
         }
         debug_assert!(
             self.mem.dsm.check_invariants().is_ok(),
@@ -1800,6 +1791,11 @@ impl VmWorld {
     /// A predicted failure: proactively drain the suspect slice (vCPU
     /// migrations + DSM master-copy drain) so the crash hits an empty
     /// node. Requires mobility — a GiantVM-style VM cannot drain.
+    ///
+    /// vCPU k lands on pCPU k of the restore node, so drained vCPUs do
+    /// not pile onto a core that is already busy. The master copies
+    /// stream to the target as one bulk `Migration` message; the drain
+    /// lasts until the slower of that stream and a vCPU migration ends.
     fn predict_failure(&mut self, ctx: &mut Ctx<'_, Event>, node: NodeId) {
         if self.crashed[node.index()].is_some() || !self.profile.mobility {
             return;
@@ -1809,14 +1805,12 @@ impl VmWorld {
         };
         let target = f.cfg.restore_to;
         for i in 0..self.vcpus.len() {
-            let (here, pcpu, done) = {
-                let v = &self.vcpus[i];
-                (v.node == node, v.pcpu, v.status == VcpuStatus::Done)
-            };
-            if !here || done {
+            let v = &self.vcpus[i];
+            if v.node != node || v.status == VcpuStatus::Done {
                 continue;
             }
             let vcpu = VcpuId::from_usize(i);
+            let pcpu = i as u32;
             let _ = self.ensure_pcpu(target, pcpu);
             if !self.request_migration(ctx, vcpu, Placement { node: target, pcpu }) {
                 self.note_migration_refused(ctx.now, vcpu, node, target);
@@ -1826,16 +1820,23 @@ impl VmWorld {
         self.mem.dsm.set_clock(ctx.now);
         let moved = self.mem.dsm.drain_node(node, target);
         self.stats.pages_drained += moved;
+        let mut drain = self.profile.vcpu_migration_cost;
+        if moved > 0 {
+            let stream = Message::new(
+                node,
+                target,
+                ByteSize::bytes(moved * (4096 + 64)),
+                MsgClass::Migration,
+            );
+            if let Ok(d) = self.fabric.send(ctx.now, stream) {
+                drain = drain.max(d.deliver_at - ctx.now);
+            }
+        }
+        self.stats.drain_time += drain;
     }
 
-    /// Records a refused vCPU migration (drain paths).
-    pub(crate) fn note_migration_refused(
-        &mut self,
-        now: SimTime,
-        vcpu: VcpuId,
-        from: NodeId,
-        to: NodeId,
-    ) {
+    /// Records a refused vCPU migration during a drain.
+    fn note_migration_refused(&mut self, now: SimTime, vcpu: VcpuId, from: NodeId, to: NodeId) {
         self.stats.migrations_refused += 1;
         self.tracer.emit_with(|| TraceEvent::VcpuMigrateRefused {
             at: now.as_nanos(),
@@ -2547,7 +2548,6 @@ impl VmSim {
                 );
             }
         }
-        self.world.sync_elastic_stats();
         self.world
             .stats
             .vcpu_finish
@@ -2560,7 +2560,6 @@ impl VmSim {
     /// Runs until the given horizon (events after it stay queued).
     pub fn run_until(&mut self, until: SimTime) {
         self.engine.run_until(&mut self.world, until);
-        self.world.sync_elastic_stats();
     }
 
     /// Runs until the external client completes its load (for VMs whose
@@ -2581,7 +2580,6 @@ impl VmSim {
                 "event queue drained before the client finished"
             );
         }
-        self.world.sync_elastic_stats();
         self.engine.now()
     }
 

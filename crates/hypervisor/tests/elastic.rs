@@ -46,8 +46,6 @@ fn no_policy_means_no_elasticity() {
     let mut sim = pressured_vm(None, 1000);
     sim.run();
     assert!(sim.world.mem.reclaim_counters().is_none());
-    assert_eq!(sim.world.stats.pressure_stalls, 0);
-    assert_eq!(sim.world.stats.pages_evicted, 0);
 }
 
 #[test]
@@ -56,16 +54,16 @@ fn every_policy_runs_reclaims_and_audits_clean() {
         let mut sim = pressured_vm(Some(policy), 1000);
         let tracer = sim.enable_tracing(1 << 20);
         sim.run();
-        let stats = &sim.world.stats;
+        let c = sim.world.mem.reclaim_counters().unwrap();
         assert!(
-            stats.pressure_stalls > 0,
+            c.pressure_stalls > 0,
             "{policy:?}: the working set exceeds the budget, reclaim must fire"
         );
         let reclaimed = match policy {
-            ReclaimPolicy::Borrow => stats.pages_evicted,
-            ReclaimPolicy::Balloon => stats.pages_ballooned,
-            ReclaimPolicy::Deflate => stats.pages_deflated,
-            ReclaimPolicy::Swap => stats.pages_swapped,
+            ReclaimPolicy::Borrow => c.pages_evicted,
+            ReclaimPolicy::Balloon => c.pages_ballooned,
+            ReclaimPolicy::Deflate => c.pages_deflated,
+            ReclaimPolicy::Swap => c.pages_swapped,
         };
         assert!(reclaimed > 0, "{policy:?}: reclaimed nothing");
         sim_core::audit::assert_clean(&tracer.snapshot());
@@ -76,8 +74,8 @@ fn every_policy_runs_reclaims_and_audits_clean() {
 fn borrow_charges_stall_time_but_keeps_pages_resident() {
     let mut sim = pressured_vm(Some(ReclaimPolicy::Borrow), 1000);
     sim.run();
-    let stats = &sim.world.stats;
-    assert!(stats.reclaim_latency > sim_core::time::SimTime::ZERO);
+    let c = sim.world.mem.reclaim_counters().unwrap();
+    assert!(c.reclaim_latency > sim_core::time::SimTime::ZERO);
     // Borrowing moves pages, never discards them: every touched page is
     // still in the directory.
     for v in 0..NODES as u32 {

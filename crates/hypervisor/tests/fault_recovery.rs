@@ -1,11 +1,10 @@
 //! End-to-end fault injection: scripted crashes, heartbeat detection,
 //! quarantine + checkpoint restore, and deterministic replay.
 
-use comm::NodeId;
+use comm::{MsgClass, NodeId};
 use dsm::PageClass;
 use hypervisor::failure::FailureConfig;
 use hypervisor::program::FixedCompute;
-use hypervisor::reliability::force_drain;
 use hypervisor::vm::{Placement, VmBuilder, VmSim};
 use hypervisor::{HypervisorProfile, VcpuId};
 use proptest::prelude::*;
@@ -21,7 +20,16 @@ fn ms(n: u64) -> SimTime {
 /// A 4-node FragVisor VM with one 100 ms vCPU per node and a dataset
 /// homed on node 2 (the crash victim in most scenarios).
 fn build_vm(plan: FaultPlan, detector: Option<FailureConfig>) -> VmSim {
-    let mut b = VmBuilder::new(HypervisorProfile::fragvisor(), 4).with_fault_plan(plan);
+    build_vm_on(HypervisorProfile::fragvisor(), plan, detector)
+}
+
+/// [`build_vm`] under another hypervisor profile.
+fn build_vm_on(
+    profile: HypervisorProfile,
+    plan: FaultPlan,
+    detector: Option<FailureConfig>,
+) -> VmSim {
+    let mut b = VmBuilder::new(profile, 4).with_fault_plan(plan);
     if let Some(cfg) = detector {
         b = b.with_failure_detector(cfg);
     }
@@ -143,13 +151,31 @@ fn predicted_failure_drains_instead_of_restoring() {
     let done = sim.run();
 
     // The drain beat the crash: master copies moved ahead of time, so
-    // recovery had nothing to quarantine.
+    // recovery had nothing to quarantine and charges no rollback.
     let s = &sim.world.stats;
     assert!(s.pages_drained >= 256, "{}", s.pages_drained);
     assert_eq!(s.pages_quarantined, 0);
+    assert_eq!(s.lost_work, SimTime::ZERO);
+    assert_eq!(s.recovery_downtime, SimTime::ZERO);
     assert!(s.migrations >= 1);
+    assert_eq!(sim.world.mem.dsm.pages_owned_by(NodeId::new(2)), 0);
     assert_eq!(sim.world.placement_of(VcpuId::new(2)).node, NodeId::new(0));
+    // A 1 MiB drain takes well under 2 ms on 56 Gbps InfiniBand.
+    assert!(s.drain_time >= sim.world.profile().vcpu_migration_cost);
+    assert!(s.drain_time < ms(2), "{}", s.drain_time);
     assert!(done > ms(100));
+    // The page stream is priced on the fabric as migration traffic.
+    let migration = sim.world.fabric.stats().get(&MsgClass::Migration);
+    assert!(
+        migration.bytes >= s.pages_drained * (4096 + 64),
+        "{} bytes",
+        migration.bytes
+    );
+
+    // vCPU 2 drains to its own spare core of node 0, so the VM ends
+    // sooner than the same crash restored reactively.
+    let reactive = build_vm(FaultPlan::scripted(7).crash(2, ms(10)), Some(detector())).run();
+    assert!(done < reactive, "drained {done} vs reactive {reactive}");
     sim.world
         .mem
         .dsm
@@ -187,21 +213,51 @@ fn crash_mid_checkpoint_leaves_clean_audit() {
 }
 
 #[test]
-fn force_drain_reports_refusals() {
-    let plan = FaultPlan::scripted(3);
-    let mut sim = build_vm(plan, None);
-    sim.run_until(ms(5));
-    let first = force_drain(&mut sim, NodeId::new(2), NodeId::new(0)).expect("mobile");
-    assert_eq!(first.vcpus_moved, 1);
-    assert_eq!(first.vcpus_refused, 0);
-    // The vCPU is still mid-migration: a second drain must refuse it and
-    // say so rather than pretending the node is clear.
-    let second = force_drain(&mut sim, NodeId::new(2), NodeId::new(0)).expect("mobile");
-    assert_eq!(second.vcpus_moved, 0);
-    assert_eq!(second.vcpus_refused, 1);
-    assert_eq!(sim.world.stats.migrations_refused, 1);
+fn predicted_drain_refuses_a_migrating_vcpu() {
+    // The prediction fires at 5 ms, while vCPU 2 is still mid-way
+    // through a migration to node 1 started just before: the drain must
+    // refuse it and say so rather than pretend the node is clear.
+    let plan = FaultPlan::scripted(3).crash(2, ms(10));
+    let mut cfg = detector();
+    cfg.prediction_lead = Some(ms(5));
+    let mut sim = build_vm(plan, Some(cfg));
+    let tracer = sim.enable_tracing(1 << 20);
+    sim.run_until(ms(5) - SimTime::from_micros(10));
+    assert!(sim.migrate_vcpu(VcpuId::new(2), Placement::new(1, 1)));
     let done = sim.run();
+    assert_eq!(sim.world.stats.migrations_refused, 1);
+    assert!(tracer.snapshot().iter().any(|e| matches!(
+        e,
+        TraceEvent::VcpuMigrateRefused {
+            vcpu: 2,
+            from_node: 2,
+            to_node: 0,
+            ..
+        }
+    )));
+    assert_eq!(sim.world.placement_of(VcpuId::new(2)).node, NodeId::new(1));
     assert!(done >= ms(100));
+    let violations = sim_core::audit::audit_tracer(&tracer).expect("full trace");
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn giantvm_cannot_drain_and_restores_reactively() {
+    // Without mobility a predicted failure changes nothing: the crash is
+    // detected and node 2's vCPU is restored from the checkpoint.
+    let plan = FaultPlan::scripted(7).crash(2, ms(10));
+    let mut cfg = detector();
+    cfg.prediction_lead = Some(ms(5));
+    let mut sim = build_vm_on(HypervisorProfile::giantvm(), plan, Some(cfg));
+    sim.run();
+    let s = &sim.world.stats;
+    assert_eq!(s.pages_drained, 0);
+    assert_eq!(s.drain_time, SimTime::ZERO);
+    assert_eq!(s.migrations, 0);
+    assert_eq!(s.detections, 1);
+    assert!(s.lost_work > SimTime::ZERO);
+    assert!(s.recovery_downtime > SimTime::ZERO);
+    assert_eq!(sim.world.placement_of(VcpuId::new(2)).node, NodeId::new(0));
 }
 
 /// Runs the full seeded scenario and returns the trace as JSONL bytes.
@@ -281,7 +337,7 @@ fn partitioned_minority_is_fenced_heals_and_rejoins() {
     assert_eq!(s.partitions, 1);
     assert_eq!(s.node_crashes, 0, "a partition is not a crash");
     assert!(s.detections >= 1);
-    assert_eq!(s.epoch_bumps, 1);
+    assert_eq!(sim.world.mem.dsm.stats().epoch_bumps, 1);
     assert_eq!(s.rejoins, 1);
     for f in &s.vcpu_finish {
         assert!(f.is_some(), "every vCPU finishes after the heal");
