@@ -10,14 +10,14 @@
 //!   [`Cluster::worst_fit`]) and fragment enumeration
 //!   ([`Cluster::fragments_ascending`]) touch only candidate machines
 //!   instead of scanning the whole cluster per arrival, and
-//! * a **VM → nodes ledger** — which machines hold a piece of each VM —
-//!   so [`Cluster::nodes_of`] and consolidation are O(nodes of that VM),
-//!   not O(cluster).
+//! * a **VM → nodes ledger** — which machines hold a piece of each VM,
+//!   a dense table indexed by VM id — so [`Cluster::nodes_of`] and
+//!   consolidation are O(nodes of that VM), not O(cluster).
 //!
 //! Both indices are updated on every `allocate`/`release`/`migrate` and
 //! can be audited against a fresh scan with [`Cluster::check_invariants`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use comm::NodeId;
 use sim_core::units::ByteSize;
@@ -90,8 +90,9 @@ impl ResourceRequest {
 #[derive(Debug, Clone)]
 pub struct Machine {
     spec: MachineSpec,
-    /// Per-VM allocations on this machine.
-    allocs: BTreeMap<VmId, ResourceRequest>,
+    /// Per-VM allocations on this machine, sorted by VM id. A machine
+    /// hosts a handful of VMs, so a linear scan finds one.
+    allocs: Vec<(VmId, ResourceRequest)>,
     /// Incrementally-maintained totals, so capacity queries are O(1)
     /// instead of a sum over `allocs` (the inner loop of every placement).
     used_cpus: u32,
@@ -103,7 +104,7 @@ impl Machine {
     pub fn new(spec: MachineSpec) -> Self {
         Machine {
             spec,
-            allocs: BTreeMap::new(),
+            allocs: Vec::new(),
             used_cpus: 0,
             used_ram: 0,
         }
@@ -146,22 +147,29 @@ impl Machine {
 
     /// The VMs with an allocation here, in id order.
     pub fn resident_vms(&self) -> impl Iterator<Item = (VmId, ResourceRequest)> + '_ {
-        self.allocs.iter().map(|(&vm, &r)| (vm, r))
+        self.allocs.iter().copied()
     }
 
     /// The allocation of a specific VM on this machine, if any.
     pub fn allocation_of(&self, vm: VmId) -> Option<ResourceRequest> {
-        self.allocs.get(&vm).copied()
+        self.slot(vm).map(|k| self.allocs[k].1)
+    }
+
+    /// Position of the VM's entry in `allocs`.
+    fn slot(&self, vm: VmId) -> Option<usize> {
+        self.allocs.iter().position(|&(v, _)| v == vm)
     }
 
     /// Adds `req` to the VM's allocation (capacity already validated).
     fn add(&mut self, vm: VmId, req: ResourceRequest) {
-        let entry = self
-            .allocs
-            .entry(vm)
-            .or_insert(ResourceRequest::new(0, ByteSize::ZERO));
-        entry.cpus += req.cpus;
-        entry.ram += req.ram;
+        let k = self.allocs.partition_point(|&(v, _)| v < vm);
+        match self.allocs.get_mut(k) {
+            Some((v, entry)) if *v == vm => {
+                entry.cpus += req.cpus;
+                entry.ram += req.ram;
+            }
+            _ => self.allocs.insert(k, (vm, req)),
+        }
         self.used_cpus += req.cpus;
         self.used_ram += req.ram.as_u64();
     }
@@ -169,13 +177,14 @@ impl Machine {
     /// Subtracts `req` from the VM's allocation; returns `true` when the
     /// ledger entry disappeared (the VM no longer lives here).
     fn sub(&mut self, vm: VmId, req: ResourceRequest) -> bool {
-        let entry = self.allocs.get_mut(&vm).expect("validated allocation");
+        let k = self.slot(vm).expect("validated allocation");
+        let entry = &mut self.allocs[k].1;
         entry.cpus -= req.cpus;
         entry.ram = entry.ram - req.ram;
         self.used_cpus -= req.cpus;
         self.used_ram -= req.ram.as_u64();
         if entry.cpus == 0 && entry.ram.as_u64() == 0 {
-            self.allocs.remove(&vm);
+            self.allocs.remove(k);
             true
         } else {
             false
@@ -184,7 +193,7 @@ impl Machine {
 
     /// Removes the VM's whole allocation, returning it.
     fn take(&mut self, vm: VmId) -> Option<ResourceRequest> {
-        let r = self.allocs.remove(&vm)?;
+        let (_, r) = self.allocs.remove(self.slot(vm)?);
         self.used_cpus -= r.cpus;
         self.used_ram -= r.ram.as_u64();
         Some(r)
@@ -192,14 +201,20 @@ impl Machine {
 }
 
 /// The cluster: a set of machines plus an allocation ledger.
+///
+/// The VM → nodes ledger is a table indexed by [`VmId::index`], so its
+/// memory is O(largest VM id ever allocated): callers allocate VM ids
+/// densely. The data-center simulator uses arrival indices; the unit and
+/// property tests use ids below about 1,100.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     machines: Vec<Machine>,
     /// Bucket index: `by_free[f]` holds `(free RAM bytes, node index)` for
     /// every machine with exactly `f` free pCPUs.
     by_free: Vec<BTreeSet<(u64, u32)>>,
-    /// Ledger: the machines on which each VM currently holds resources.
-    vm_nodes: BTreeMap<VmId, BTreeSet<u32>>,
+    /// Ledger: `vm_nodes[vm]` lists the machines on which the VM currently
+    /// holds resources, ascending; an empty list means it holds none.
+    vm_nodes: Vec<Vec<u32>>,
     /// Cluster-wide free pCPUs, maintained incrementally.
     total_free: u64,
     /// Monotone change clock: bumped by every mutation, with the new value
@@ -256,7 +271,7 @@ impl Cluster {
         Cluster {
             machines,
             by_free,
-            vm_nodes: BTreeMap::new(),
+            vm_nodes: Vec::new(),
             total_free,
             clock: 0,
             node_touched,
@@ -325,7 +340,13 @@ impl Cluster {
         self.unindex(i);
         self.machines[i].add(vm, req);
         self.reindex(i);
-        self.vm_nodes.entry(vm).or_default().insert(i as u32);
+        if self.vm_nodes.len() <= vm.index() {
+            self.vm_nodes.resize_with(vm.index() + 1, Vec::new);
+        }
+        let nodes = &mut self.vm_nodes[vm.index()];
+        if let Err(k) = nodes.binary_search(&(i as u32)) {
+            nodes.insert(k, i as u32);
+        }
         Ok(())
     }
 
@@ -339,7 +360,7 @@ impl Cluster {
         req: ResourceRequest,
     ) -> Result<(), AllocError> {
         let i = node.index();
-        let Some(entry) = self.machines[i].allocs.get(&vm) else {
+        let Some(entry) = self.machines[i].allocation_of(vm) else {
             return Err(AllocError::NotAllocated { node });
         };
         if entry.cpus < req.cpus || entry.ram.as_u64() < req.ram.as_u64() {
@@ -349,11 +370,9 @@ impl Cluster {
         let gone = self.machines[i].sub(vm, req);
         self.reindex(i);
         if gone {
-            if let Some(nodes) = self.vm_nodes.get_mut(&vm) {
-                nodes.remove(&(i as u32));
-                if nodes.is_empty() {
-                    self.vm_nodes.remove(&vm);
-                }
+            let nodes = &mut self.vm_nodes[vm.index()];
+            if let Ok(k) = nodes.binary_search(&(i as u32)) {
+                nodes.remove(k);
             }
         }
         Ok(())
@@ -362,7 +381,7 @@ impl Cluster {
     /// Releases every allocation of `vm` across the cluster; returns the
     /// nodes that held a piece of it.
     pub fn release_vm(&mut self, vm: VmId) -> Vec<NodeId> {
-        let Some(held) = self.vm_nodes.remove(&vm) else {
+        let Some(held) = self.vm_nodes.get_mut(vm.index()).map(std::mem::take) else {
             return Vec::new();
         };
         let mut nodes = Vec::with_capacity(held.len());
@@ -390,7 +409,7 @@ impl Cluster {
         // Validate the source first so a failed destination leaves state
         // untouched.
         let src = &self.machines[from.index()];
-        let Some(have) = src.allocs.get(&vm) else {
+        let Some(have) = src.allocation_of(vm) else {
             return Err(AllocError::NotAllocated { node: from });
         };
         if have.cpus < req.cpus || have.ram.as_u64() < req.ram.as_u64() {
@@ -416,18 +435,16 @@ impl Cluster {
 
     /// The nodes on which a VM currently holds resources, in node order.
     pub fn nodes_of(&self, vm: VmId) -> Vec<NodeId> {
-        self.vm_nodes
-            .get(&vm)
-            .map(|nodes| nodes.iter().map(|&i| NodeId::new(i)).collect())
-            .unwrap_or_default()
+        self.home_nodes(vm).collect()
     }
 
     /// Like [`Cluster::nodes_of`], but iterates without allocating.
     pub fn home_nodes(&self, vm: VmId) -> impl Iterator<Item = NodeId> + '_ {
         self.vm_nodes
-            .get(&vm)
-            .into_iter()
-            .flat_map(|nodes| nodes.iter().map(|&i| NodeId::new(i)))
+            .get(vm.index())
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(|&i| NodeId::new(i))
     }
 
     /// The current value of the change clock (see [`Cluster::node_touched`]).
@@ -514,8 +531,8 @@ impl Cluster {
     pub fn check_invariants(&self) {
         let mut total_free = 0u64;
         for (i, m) in self.machines.iter().enumerate() {
-            let cpus: u32 = m.allocs.values().map(|r| r.cpus).sum();
-            let ram: u64 = m.allocs.values().map(|r| r.ram.as_u64()).sum();
+            let cpus: u32 = m.allocs.iter().map(|(_, r)| r.cpus).sum();
+            let ram: u64 = m.allocs.iter().map(|(_, r)| r.ram.as_u64()).sum();
             assert_eq!(m.used_cpus, cpus, "node {i}: stale used_cpus counter");
             assert_eq!(m.used_ram, ram, "node {i}: stale used_ram counter");
             assert!(
@@ -533,11 +550,15 @@ impl Cluster {
                 "node {i}: missing from free-CPU bucket {}",
                 m.free_cpus()
             );
-            for &vm in m.allocs.keys() {
+            assert!(
+                m.allocs.windows(2).all(|w| w[0].0 < w[1].0),
+                "node {i}: allocations not strictly ascending by VM id"
+            );
+            for &(vm, _) in &m.allocs {
                 assert!(
                     self.vm_nodes
-                        .get(&vm)
-                        .is_some_and(|ns| ns.contains(&(i as u32))),
+                        .get(vm.index())
+                        .is_some_and(|ns| ns.binary_search(&(i as u32)).is_ok()),
                     "ledger missing {vm} on node {i}"
                 );
             }
@@ -545,11 +566,15 @@ impl Cluster {
         assert_eq!(self.total_free, total_free, "stale total_free counter");
         let indexed: usize = self.by_free.iter().map(BTreeSet::len).sum();
         assert_eq!(indexed, self.machines.len(), "free-CPU index size drift");
-        for (vm, nodes) in &self.vm_nodes {
-            assert!(!nodes.is_empty(), "empty ledger entry for {vm}");
+        for (v, nodes) in self.vm_nodes.iter().enumerate() {
+            let vm = VmId::from_usize(v);
+            assert!(
+                nodes.windows(2).all(|w| w[0] < w[1]),
+                "ledger nodes of {vm} not strictly ascending"
+            );
             for &i in nodes {
                 assert!(
-                    self.machines[i as usize].allocs.contains_key(vm),
+                    self.machines[i as usize].allocation_of(vm).is_some(),
                     "ledger claims {vm} on node {i} but machine disagrees"
                 );
             }
@@ -751,5 +776,56 @@ mod tests {
         assert_eq!(asc, vec![3, 0, 1]);
         let desc: Vec<u32> = c.fragments_descending().map(|n| n.0).collect();
         assert_eq!(desc, vec![1, 0, 3]);
+    }
+
+    /// A cluster hosting VM 5 on node 0 and VM 2 on nodes 0 and 1, so the
+    /// dense ledger has holes below and between the live ids.
+    fn two_vm_cluster() -> Cluster {
+        let mut c = Cluster::homogeneous(2, MachineSpec::testbed());
+        c.allocate(NodeId::new(0), VmId::new(5), small_req(2))
+            .unwrap();
+        c.allocate(NodeId::new(0), VmId::new(2), small_req(1))
+            .unwrap();
+        c.allocate(NodeId::new(1), VmId::new(2), small_req(1))
+            .unwrap();
+        c.check_invariants();
+        c
+    }
+
+    #[test]
+    fn resident_vms_in_id_order_with_holes_in_the_ledger() {
+        let mut c = two_vm_cluster();
+        let ids: Vec<VmId> = c
+            .machine(NodeId::new(0))
+            .resident_vms()
+            .map(|(vm, _)| vm)
+            .collect();
+        assert_eq!(ids, vec![VmId::new(2), VmId::new(5)]);
+        assert!(c.nodes_of(VmId::new(3)).is_empty());
+        assert!(c.nodes_of(VmId::new(1_000)).is_empty());
+        assert_eq!(c.release_vm(VmId::new(3)), Vec::new());
+        assert_eq!(
+            c.release_vm(VmId::new(2)),
+            vec![NodeId::new(0), NodeId::new(1)]
+        );
+        // A departed VM keeps an empty ledger entry, which is not drift.
+        assert!(c.nodes_of(VmId::new(2)).is_empty());
+        c.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "ledger claims vm5 on node 1 but machine disagrees")]
+    fn audit_catches_a_ledger_node_the_machine_does_not_host() {
+        let mut c = two_vm_cluster();
+        c.vm_nodes[5].push(1);
+        c.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "ledger missing vm2 on node 1")]
+    fn audit_catches_a_resident_vm_the_ledger_omits() {
+        let mut c = two_vm_cluster();
+        c.vm_nodes[2].pop();
+        c.check_invariants();
     }
 }

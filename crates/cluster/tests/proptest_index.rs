@@ -2,7 +2,8 @@
 //! bucket index, the VM → nodes ledger, and the O(1) capacity counters
 //! must stay consistent with a fresh scan under arbitrary interleavings
 //! of arrivals, departures, and slice migrations — the op mix the
-//! data-center simulator drives at scale.
+//! data-center simulator drives at scale. VM ids are allocated with gaps,
+//! so the dense ledger holds entries for ids that never lived.
 
 use std::cmp::Reverse;
 
@@ -43,6 +44,14 @@ fn naive_worst_fit(c: &Cluster, req: ResourceRequest) -> Option<NodeId> {
         .map(|(n, _)| n)
 }
 
+/// The nodes hosting `vm`, ascending, straight off a full machine scan.
+fn naive_homes(c: &Cluster, vm: VmId) -> Vec<NodeId> {
+    c.machines()
+        .filter(|(_, m)| m.allocation_of(vm).is_some())
+        .map(|(n, _)| n)
+        .collect()
+}
+
 /// Replays an op script against a fresh cluster, asserting the ledger
 /// invariants after every step. Returns a digest of the final state.
 fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError> {
@@ -51,6 +60,7 @@ fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError
     let capacity_ram = MachineSpec::testbed().ram.as_u64() * nodes as u64;
     // Shadow model: what we believe is allocated, per live VM.
     let mut live: Vec<(VmId, u64, u64)> = Vec::new(); // (vm, cpus, ram)
+    let mut departed: Vec<VmId> = Vec::new();
     let mut next_vm = 0u32;
     for &(opcode, selector, cpus, shape) in ops {
         match opcode % 4 {
@@ -59,7 +69,7 @@ fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError
                 let req = request(cpus % 8 + 1, shape);
                 if let Some(node) = c.best_fit(req) {
                     let vm = VmId::new(next_vm);
-                    next_vm += 1;
+                    next_vm += 1 + selector % 3;
                     c.allocate(node, vm, req).expect("best_fit said it fits");
                     live.push((vm, u64::from(req.cpus), req.ram.as_u64()));
                 }
@@ -69,6 +79,7 @@ fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError
                 if !live.is_empty() {
                     let (vm, _, _) = live.swap_remove(selector as usize % live.len());
                     c.release_vm(vm);
+                    departed.push(vm);
                 }
             }
             // Migration: move part of a live VM's slice to the emptiest
@@ -111,6 +122,25 @@ fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError
                 "O(1) free counter drifted"
             );
             prop_assert!(used_ram <= capacity_ram);
+            // The ledger agrees with the machines, VM by VM, holes and all.
+            for &(vm, _, _) in &live {
+                let naive = naive_homes(&c, vm);
+                prop_assert!(!naive.is_empty(), "live {} hosted nowhere", vm);
+                prop_assert_eq!(c.home_nodes(vm).collect::<Vec<_>>(), naive.clone());
+                prop_assert_eq!(c.nodes_of(vm), naive);
+            }
+            for &vm in &departed {
+                prop_assert_eq!(c.home_nodes(vm).next(), None, "departed {} has homes", vm);
+            }
+            for (n, m) in c.machines() {
+                let ids: Vec<VmId> = m.resident_vms().map(|(vm, _)| vm).collect();
+                prop_assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "{} residents out of order: {:?}",
+                    n,
+                    ids
+                );
+            }
             // The indexed fit queries match a naive scan exactly.
             let probe = request(cpus % 8 + 1, shape + 1);
             prop_assert_eq!(c.best_fit(probe), naive_best_fit(&c, probe));

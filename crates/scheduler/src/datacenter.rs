@@ -13,6 +13,12 @@
 //! whole trace), and timeline sampling can be decimated
 //! ([`DatacenterSim::sample_every`]) so report memory stays linear.
 //!
+//! VM ids are arrival indices, the dense ids the cluster's VM → nodes
+//! table wants. The live Aggregate VMs sit in a `Vec` sorted by arrival
+//! index, and every departure walks all of them in that order. A visit
+//! is cheap: the skip check reads the VM's home nodes straight from the
+//! cluster's table and compares their change-clock stamps.
+//!
 //! Delayed VMs wait in a flat FIFO of `(arrival, shape)` pairs, where a
 //! shape is an interned `(cpus, ram)` request. A departure retries them
 //! only when the cluster has as many free CPUs as the smallest waiting
@@ -24,8 +30,6 @@
 //! so the timeline and every counter, `retry_attempts` included, match a
 //! loop that attempts every entry in order and stops when the cluster
 //! runs out of free CPUs.
-
-use std::collections::BTreeMap;
 
 use cluster::{Cluster, FragmentationReport, MachineSpec, ResourceRequest, VmId};
 use comm::NodeId;
@@ -135,15 +139,14 @@ enum DcEvent {
 /// Consolidation reads and writes only the VM's home nodes, so a no-move
 /// outcome is proven to repeat — and the whole scan can be skipped —
 /// while those nodes stay untouched on the cluster's change clock. The
-/// home set itself only changes through consolidation moves (or the VM's
-/// own departure), which keeps the cached copy exact between calls.
+/// skip check reads the home nodes from the cluster's VM → nodes table.
 #[derive(Debug)]
 struct LiveAggregate {
+    /// Arrival index, which is also the VM id.
+    arrival: usize,
     /// Cluster change-clock reading at the last no-move consolidation
     /// (0 = not yet verified, always rescanned).
     quiescent_at: u64,
-    /// The VM's home nodes, cached so the skip check avoids the ledger.
-    homes: Vec<NodeId>,
 }
 
 /// One `(cpus, ram)` request shape seen in the delayed queue.
@@ -166,11 +169,11 @@ pub struct DatacenterSim {
     fit: FitAlgo,
     fragbff: FragBff,
     trace: ArrivalTrace,
-    /// Currently-live Aggregate VMs (by arrival index), so consolidation
-    /// is O(live aggregates) instead of O(trace length). Each entry tracks
-    /// the state needed to prove a consolidation no-op without touching
-    /// the cluster ledger.
-    live_aggregates: BTreeMap<usize, LiveAggregate>,
+    /// Currently-live Aggregate VMs, sorted by arrival index, so
+    /// consolidation is O(live aggregates) instead of O(trace length).
+    /// A delayed VM can start as an aggregate after younger ones, so
+    /// entries are inserted in order, not pushed.
+    live_aggregates: Vec<LiveAggregate>,
     /// Waiting VMs, oldest first: arrival index and [`Shape`] id.
     delayed: Vec<(u32, u32)>,
     /// Smallest vCPU request waiting in `delayed` (`u32::MAX` when empty):
@@ -234,7 +237,7 @@ impl DatacenterSim {
             fit,
             fragbff: FragBff::new(consolidation),
             trace,
-            live_aggregates: BTreeMap::new(),
+            live_aggregates: Vec::new(),
             delayed: Vec::new(),
             delayed_min_cpus: u32::MAX,
             shapes: Vec::new(),
@@ -302,7 +305,12 @@ impl DatacenterSim {
                 }
                 DcEvent::Departure(vm) => {
                     self.cluster.release_vm(vm);
-                    self.live_aggregates.remove(&vm.index());
+                    if let Ok(k) = self
+                        .live_aggregates
+                        .binary_search_by_key(&vm.index(), |a| a.arrival)
+                    {
+                        self.live_aggregates.remove(k);
+                    }
                     report.events.push(PlacementEvent {
                         at: now,
                         vm,
@@ -416,11 +424,12 @@ impl DatacenterSim {
         }
         if self.enable_aggregate {
             if let Some(assignment) = self.fragbff.place_aggregate(&mut self.cluster, vm, req) {
+                let k = self.live_aggregates.partition_point(|a| a.arrival < i);
                 self.live_aggregates.insert(
-                    i,
+                    k,
                     LiveAggregate {
+                        arrival: i,
                         quiescent_at: 0,
-                        homes: assignment.parts.iter().map(|&(n, _)| n).collect(),
                     },
                 );
                 report.aggregates += 1;
@@ -468,27 +477,24 @@ impl DatacenterSim {
     }
 
     fn consolidate_live(&mut self, now: SimTime, report: &mut SimReport) {
-        // `retain` visits candidates in ascending arrival order (as the
-        // old explicit loop did); the map is taken out of `self` so the
-        // closure can borrow the cluster freely. Nothing inserts into
-        // `live_aggregates` while the pass runs.
-        let mut live = std::mem::take(&mut self.live_aggregates);
-        live.retain(|&i, agg| {
-            let vm = VmId::from_usize(i);
+        // `retain_mut` visits candidates in ascending arrival order.
+        let cluster = &mut self.cluster;
+        let fragbff = &self.fragbff;
+        self.live_aggregates.retain_mut(|agg| {
+            let vm = VmId::from_usize(agg.arrival);
             // Skip the scan when every home node is untouched since the
             // VM's last no-move consolidation: the outcome is a pure
             // function of home-node state, so it would repeat verbatim.
             if agg.quiescent_at != 0
-                && agg
-                    .homes
-                    .iter()
-                    .all(|&n| self.cluster.node_touched(n) <= agg.quiescent_at)
+                && cluster
+                    .home_nodes(vm)
+                    .all(|n| cluster.node_touched(n) <= agg.quiescent_at)
             {
                 return true;
             }
-            let cmds = self.fragbff.consolidate(&mut self.cluster, vm);
+            let cmds = fragbff.consolidate(cluster, vm);
             if cmds.is_empty() {
-                agg.quiescent_at = self.cluster.clock();
+                agg.quiescent_at = cluster.clock();
                 return true;
             }
             report.migrations += cmds.len() as u64;
@@ -497,16 +503,13 @@ impl DatacenterSim {
                 vm,
                 kind: PlacementKind::Migrated(cmds),
             });
-            // The moves changed the home set; refresh the cache. Fully
-            // consolidated VMs go back to plain BFF bookkeeping, the rest
-            // stay unverified (a clamped partial move can leave further
-            // moves for the next pass, as the unconditional rescan did).
-            agg.homes.clear();
-            agg.homes.extend(self.cluster.home_nodes(vm));
+            // Fully consolidated VMs go back to plain BFF bookkeeping, the
+            // rest stay unverified (a clamped partial move can leave
+            // further moves for the next pass, as the unconditional rescan
+            // did).
             agg.quiescent_at = 0;
-            agg.homes.len() > 1
+            cluster.home_nodes(vm).nth(1).is_some()
         });
-        self.live_aggregates = live;
     }
 
     fn maybe_sample(&mut self, now: SimTime, report: &mut SimReport) {
@@ -876,6 +879,53 @@ mod tests {
             starts,
             [(ms(2100), 4), (ms(2100), 5), (ms(12100), 6), (ms(12100), 7)]
         );
+    }
+
+    /// A delayed VM that starts as an Aggregate VM after a younger one is
+    /// consolidated before it: the live list stays in arrival order.
+    #[test]
+    fn consolidation_visits_aggregates_in_arrival_order() {
+        let arr = |at_ms: u64, cpus: u32, life_s: u64| VmArrival {
+            at: SimTime::from_millis(at_ms),
+            cpus,
+            ram: ByteSize::gib(u64::from(cpus)),
+            lifetime: SimTime::from_secs(life_s),
+        };
+        let trace = ArrivalTrace {
+            arrivals: vec![
+                arr(0, 5, 1),      // vm0 → node0, leaves at 1 s
+                arr(100, 4, 100),  // vm1 → node0
+                arr(200, 7, 3),    // vm2 → node1, leaves at 3.2 s
+                arr(300, 2, 100),  // vm3 → node0
+                arr(400, 10, 100), // vm4 → node2; free CPUs 1, 5, 2
+                arr(500, 11, 3),   // vm5: 8 free in all, delayed
+                arr(600, 7, 3),    // vm6: aggregate over node1 and node2
+            ],
+        };
+        let r = DatacenterSim::new(
+            3,
+            MachineSpec::fig14(),
+            ConsolidationPolicy::MinNodes,
+            trace,
+        )
+        .run();
+        let ms = SimTime::from_millis;
+        let logged = |at_ms: Option<u64>, kind: fn(&PlacementKind) -> bool| -> Vec<usize> {
+            r.events
+                .iter()
+                .filter(|e| at_ms.is_none_or(|t| e.at == ms(t)) && kind(&e.kind))
+                .map(|e| e.vm.index())
+                .collect()
+        };
+        // vm5 is delayed and starts as an aggregate after the younger vm6.
+        assert_eq!(logged(None, |k| *k == PlacementKind::Delayed), [5]);
+        let aggregate = |k: &PlacementKind| matches!(k, PlacementKind::Aggregate(_));
+        assert_eq!(logged(Some(600), aggregate), [6]);
+        assert_eq!(logged(Some(3_200), aggregate), [5]);
+        // vm2's departure at 3.2 s starts vm5, and the same consolidation
+        // pass moves vm5 before vm6.
+        let migrated = |k: &PlacementKind| matches!(k, PlacementKind::Migrated(_));
+        assert_eq!(logged(Some(3_200), migrated), [5, 6]);
     }
 
     #[test]

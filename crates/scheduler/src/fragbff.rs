@@ -148,8 +148,7 @@ impl FragBff {
         let mut cmds = Vec::new();
         loop {
             let homes: Vec<(NodeId, ResourceRequest)> = cluster
-                .nodes_of(vm)
-                .into_iter()
+                .home_nodes(vm)
                 .map(|n| {
                     let alloc = cluster
                         .machine(n)
