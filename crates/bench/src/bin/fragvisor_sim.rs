@@ -112,7 +112,7 @@ fn print_vm_summary(sim: &VmSim, makespan: SimTime) {
         s.hits,
         s.faults_per_sec(makespan)
     );
-    let dsm_traffic = sim.world.fabric.stats().get(&comm::MsgClass::Dsm);
+    let dsm_traffic = sim.world.fabric.traffic(comm::MsgClass::Dsm);
     println!(
         "fabric              {} messages, {:.2} MB DSM traffic",
         sim.world.fabric.messages_sent(),

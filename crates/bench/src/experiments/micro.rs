@@ -216,8 +216,7 @@ pub fn fig05_concurrent_writes() -> Table {
         let traffic = frag
             .world
             .fabric
-            .stats()
-            .get(&comm::MsgClass::Dsm)
+            .traffic(comm::MsgClass::Dsm)
             .bytes_per_sec(deadline)
             / 1e6;
         let (mut over, over_counts) = scenarios::concurrent_writes(

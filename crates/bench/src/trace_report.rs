@@ -53,11 +53,28 @@ pub fn capture_reference_trace() -> TraceReport {
 mod tests {
     use super::*;
 
+    /// The trace audits clean, exports one line per event, and its bytes
+    /// are pinned. It is the only tier-1 trace with a `set_link` override
+    /// (the client's Ethernet) and several bulk classes on one link, so the
+    /// only pin on the fabric's `queued_ns`, `serialize_ns` and `bound_ns`
+    /// fields.
     #[test]
     fn reference_trace_is_clean_and_exportable() {
         let r = capture_reference_trace();
-        assert!(r.events > 0);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.jsonl.lines().count(), r.events);
+        assert_eq!(r.events, 27_272);
+        assert_eq!(r.dropped, 0);
+        let sends = |class: &str| {
+            let class = format!(r#""class":"{class}""#);
+            r.jsonl
+                .lines()
+                .filter(|l| l.starts_with(r#"{"ev":"fabric_send","#) && l.contains(&class))
+                .count()
+        };
+        let counts = ["dsm", "io", "interrupt", "migration"].map(sends);
+        assert_eq!(counts, [9_650, 120, 43, 6]);
+        let digest = sim_core::digest::fnv1a(r.jsonl.as_bytes());
+        assert_eq!(digest, 0xa8c4_fd94_0af3_3c74, "digest {digest:016x}");
     }
 }

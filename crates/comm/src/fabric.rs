@@ -20,10 +20,8 @@
 //! [`Scheduling::SingleFifo`] restores the pre-QoS behaviour (one FIFO per
 //! link regardless of class) for A/B comparison in benchmarks.
 
-use std::collections::BTreeMap;
-
 use sim_core::fault::{Disruption, FaultInjector, FaultPlan};
-use sim_core::stats::MeterSet;
+use sim_core::stats::Meter;
 use sim_core::time::SimTime;
 use sim_core::trace::{TraceEvent, Tracer};
 use sim_core::units::ByteSize;
@@ -277,7 +275,7 @@ pub struct Delivery {
     pub receiver_cpu: SimTime,
 }
 
-/// A directed link with per-tier transmitter state.
+/// A directed link: its profile and per-tier transmitter state.
 #[derive(Debug, Clone)]
 struct Link {
     profile: LinkProfile,
@@ -301,20 +299,26 @@ impl Link {
     }
 }
 
+/// `t * num / den` in integer nanoseconds, rounded down.
+fn stretch(t: SimTime, num: u32, den: u32) -> SimTime {
+    SimTime::from_nanos((u128::from(t.as_nanos()) * u128::from(num) / u128::from(den)) as u64)
+}
+
 /// The message fabric connecting every node pair.
 ///
 /// Links are directed and independently queued; a homogeneous cluster is
 /// built with [`Fabric::homogeneous`], and individual pairs (e.g. the
 /// client's Ethernet link) can be overridden with [`Fabric::set_link`].
+/// Every directed pair, self-pairs included, has its link built up front
+/// in one dense table, so a send indexes rather than searches.
 #[derive(Debug, Clone)]
 pub struct Fabric {
     nodes: usize,
-    default_profile: LinkProfile,
-    local_profile: LinkProfile,
     scheduling: Scheduling,
-    overrides: BTreeMap<(NodeId, NodeId), LinkProfile>,
-    links: BTreeMap<(NodeId, NodeId), Link>,
-    stats: MeterSet<MsgClass>,
+    /// Link `src -> dst` at `src * nodes + dst`.
+    links: Vec<Link>,
+    /// Traffic per class (indexed by [`MsgClass::index`]).
+    meters: [Meter; MsgClass::COUNT],
     messages_sent: u64,
     tracer: Tracer,
     /// Interpreter of the injected fault plan, if any.
@@ -330,14 +334,16 @@ impl Fabric {
     /// same-node messages use [`LinkProfile::local`]. Scheduling defaults
     /// to [`Scheduling::QosClassed`].
     pub fn homogeneous(nodes: usize, profile: LinkProfile) -> Self {
+        let local = LinkProfile::local();
+        let links = (0..nodes)
+            .flat_map(|src| (0..nodes).map(move |dst| if src == dst { local } else { profile }))
+            .map(Link::new)
+            .collect();
         Fabric {
             nodes,
-            default_profile: profile,
-            local_profile: LinkProfile::local(),
             scheduling: Scheduling::default(),
-            overrides: BTreeMap::new(),
-            links: BTreeMap::new(),
-            stats: MeterSet::new(),
+            links,
+            meters: [Meter::new(); MsgClass::COUNT],
             messages_sent: 0,
             tracer: Tracer::disabled(),
             injector: None,
@@ -407,31 +413,25 @@ impl Fabric {
         self.retries
     }
 
-    /// Overrides the profile of one directed link.
+    /// Index of link `src -> dst` in `links`.
+    fn slot(&self, src: NodeId, dst: NodeId) -> usize {
+        src.index() * self.nodes + dst.index()
+    }
+
+    /// Overrides the profile of one directed link. The link starts over
+    /// idle: queue state built with the old profile is dropped.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of range.
     pub fn set_link(&mut self, src: NodeId, dst: NodeId, profile: LinkProfile) {
         assert!(src.index() < self.nodes && dst.index() < self.nodes);
-        self.overrides.insert((src, dst), profile);
-        // Forget any cached queue state built with the old profile.
-        self.links.remove(&(src, dst));
+        let slot = self.slot(src, dst);
+        self.links[slot] = Link::new(profile);
         self.tracer.emit_with(|| TraceEvent::FabricLinkReset {
             src: src.0,
             dst: dst.0,
         });
-    }
-
-    /// Returns the profile a given directed pair would use.
-    pub fn profile(&self, src: NodeId, dst: NodeId) -> LinkProfile {
-        if let Some(p) = self.overrides.get(&(src, dst)) {
-            *p
-        } else if src == dst {
-            self.local_profile
-        } else {
-            self.default_profile
-        }
     }
 
     /// Submits a message and returns its delivery schedule, or a typed
@@ -577,29 +577,28 @@ impl Fabric {
             class,
             ..
         } = msg;
-        let profile = self.profile(src, dst);
         let scheduling = self.scheduling;
         // Under SingleFifo there is no priority tier; the trace's `prio`
         // field records what actually happened, so the auditor's tier
         // rules stay vacuous on single-FIFO traces.
         let on_prio_tier = scheduling == Scheduling::QosClassed && msg.is_priority();
-        let link = self
-            .links
-            .entry((src, dst))
-            .or_insert_with(|| Link::new(profile));
+        let slot = self.slot(src, dst);
+        let link = &mut self.links[slot];
         let base = link.profile.bandwidth.transfer_time(size);
-        let (start, serialize, bound) = match scheduling {
+        // The starvation bound the trace reports is `base * bound_w / wc`
+        // (+ `extra`); off the weighted-fair tier nothing stretches.
+        let (start, serialize, bound_w, wc) = match scheduling {
             Scheduling::SingleFifo => {
                 let ser = base + extra;
                 let start = now.max(link.fifo_free_at);
                 link.fifo_free_at = start + ser;
-                (start, ser, ser)
+                (start, ser, 1, 1)
             }
             Scheduling::QosClassed if on_prio_tier => {
                 let ser = base + extra;
                 let start = now.max(link.prio_free_at);
                 link.prio_free_at = start + ser;
-                (start, ser, ser)
+                (start, ser, 1, 1)
             }
             Scheduling::QosClassed => {
                 let w = link.profile.weights;
@@ -618,21 +617,16 @@ impl Fabric {
                     .map(|&c| w.weight(c))
                     .sum::<u32>()
                     .max(wc);
-                let stretch = |t: SimTime, num: u32| {
-                    SimTime::from_nanos((t.as_nanos() as u128 * num as u128 / wc as u128) as u64)
-                };
-                let serialize = stretch(base, active) + extra;
-                let bound = stretch(base, w.total().max(wc)) + extra;
+                let serialize = stretch(base, active, wc) + extra;
                 let start = now.max(link.bulk_free_at[class.index()]);
                 link.bulk_free_at[class.index()] = start + serialize;
-                (start, serialize, bound)
+                (start, serialize, w.total().max(wc), wc)
             }
         };
-        let deliver_at = start
-            + serialize
-            + link.profile.wire_latency
-            + link.profile.stack.per_message_latency();
-        self.stats.record(class, size.as_u64());
+        let profile = link.profile;
+        let deliver_at =
+            start + serialize + profile.wire_latency + profile.stack.per_message_latency();
+        self.meters[class.index()].record(size.as_u64());
         self.messages_sent += 1;
         self.tracer.emit_with(|| TraceEvent::FabricSend {
             at: now.as_nanos(),
@@ -643,13 +637,13 @@ impl Fabric {
             bytes: size.as_u64(),
             queued_ns: (start - now).as_nanos(),
             serialize_ns: serialize.as_nanos(),
-            bound_ns: bound.as_nanos(),
+            bound_ns: (stretch(base, bound_w, wc) + extra).as_nanos(),
             deliver_at: deliver_at.as_nanos(),
         });
         Delivery {
             deliver_at,
-            sender_cpu: link.profile.stack.sender_cpu(),
-            receiver_cpu: link.profile.stack.receiver_cpu(),
+            sender_cpu: profile.stack.sender_cpu(),
+            receiver_cpu: profile.stack.receiver_cpu(),
         }
     }
 
@@ -658,14 +652,14 @@ impl Fabric {
         self.messages_sent
     }
 
-    /// Per-class traffic meters.
-    pub fn stats(&self) -> &MeterSet<MsgClass> {
-        &self.stats
+    /// Traffic sent so far in one class.
+    pub fn traffic(&self, class: MsgClass) -> Meter {
+        self.meters[class.index()]
     }
 
     /// Resets traffic statistics (not queue state).
     pub fn reset_stats(&mut self) {
-        self.stats = MeterSet::new();
+        self.meters = [Meter::new(); MsgClass::COUNT];
         self.messages_sent = 0;
         self.dropped = 0;
         self.duplicated = 0;
@@ -766,9 +760,9 @@ mod tests {
         let _ = f.send(SimTime::ZERO, msg(0, 1, 4096, MsgClass::Dsm));
         let _ = f.send(SimTime::ZERO, msg(0, 1, 64, MsgClass::Interrupt));
         let _ = f.send(SimTime::ZERO, msg(0, 1, 4096, MsgClass::Dsm));
-        assert_eq!(f.stats().get(&MsgClass::Dsm).events, 2);
-        assert_eq!(f.stats().get(&MsgClass::Dsm).bytes, 8192);
-        assert_eq!(f.stats().get(&MsgClass::Interrupt).events, 1);
+        assert_eq!(f.traffic(MsgClass::Dsm).events, 2);
+        assert_eq!(f.traffic(MsgClass::Dsm).bytes, 8192);
+        assert_eq!(f.traffic(MsgClass::Interrupt).events, 1);
         assert_eq!(f.messages_sent(), 3);
         f.reset_stats();
         assert_eq!(f.messages_sent(), 0);

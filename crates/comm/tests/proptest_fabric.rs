@@ -108,8 +108,51 @@ proptest! {
             let _ = fabric.send(SimTime::ZERO, m).unwrap();
             expect += size;
         }
-        prop_assert_eq!(fabric.stats().get(&MsgClass::Io).bytes, expect);
+        prop_assert_eq!(fabric.traffic(MsgClass::Io).bytes, expect);
         prop_assert_eq!(fabric.messages_sent(), msgs.len() as u64);
+    }
+
+    /// Random sends over 3 nodes interleaved with `set_link` calls: a send
+    /// on an idle link is priced exactly from the link's current profile.
+    #[test]
+    fn idle_sends_price_the_current_profile(
+        ops in proptest::collection::vec(
+            ((0u64..200, 0u32..3, 0u32..3), (1u64..100_000, 0usize..3, 0usize..8)),
+            1..80,
+        ),
+    ) {
+        let ib = LinkProfile::infiniband_56g();
+        let mut fabric = Fabric::homogeneous(3, ib);
+        let mut current = [[ib; 3]; 3];
+        for (i, row) in current.iter_mut().enumerate() {
+            row[i] = LinkProfile::local();
+        }
+        let mut busy_until = [[SimTime::ZERO; 3]; 3];
+        let mut now = SimTime::ZERO;
+        for ((gap_us, src, dst), (bytes, pick, op)) in ops {
+            now += SimTime::from_micros(gap_us);
+            let (s, d) = (src as usize, dst as usize);
+            if op == 7 {
+                let profile = profiles()[pick];
+                fabric.set_link(NodeId::new(src), NodeId::new(dst), profile);
+                current[s][d] = profile;
+                busy_until[s][d] = SimTime::ZERO;
+                continue;
+            }
+            let class = [MsgClass::Dsm, MsgClass::Io, MsgClass::Interrupt][op % 3];
+            let size = ByteSize::bytes(bytes);
+            let m = Message::new(NodeId::new(src), NodeId::new(dst), size, class);
+            let got = fabric.send(now, m).unwrap().deliver_at;
+            if now >= busy_until[s][d] {
+                let p = current[s][d];
+                let want = now
+                    + p.bandwidth.transfer_time(size)
+                    + p.wire_latency
+                    + p.stack.per_message_latency();
+                prop_assert_eq!(got, want);
+            }
+            busy_until[s][d] = busy_until[s][d].max(got);
+        }
     }
 
     /// An idle link's latency is monotone in message size.

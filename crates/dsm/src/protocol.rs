@@ -934,7 +934,6 @@ impl Dsm {
         ni.cached += 1;
         ni.log.push(LogEntry { page, stamp });
         self.stats.read_faults += 1;
-        self.stats.per_class.record(class, 1);
         self.tracer.emit_with(|| TraceEvent::DsmFault {
             at,
             page: pg,
@@ -1075,7 +1074,6 @@ impl Dsm {
             }
         }
         self.stats.write_faults += 1;
-        self.stats.per_class.record(class, 1);
         self.tracer.emit_with(|| TraceEvent::DsmGrant {
             at,
             page: pg,

@@ -1,9 +1,6 @@
 //! DSM protocol counters.
 
-use sim_core::stats::MeterSet;
 use sim_core::time::SimTime;
-
-use crate::protocol::PageClass;
 
 /// Counters maintained by the DSM directory.
 ///
@@ -33,8 +30,6 @@ pub struct DsmStats {
     pub epoch_bumps: u64,
     /// Fenced nodes readmitted at the current epoch.
     pub rejoins: u64,
-    /// Faults per page class.
-    pub per_class: MeterSet<PageClass>,
 }
 
 impl DsmStats {

@@ -80,10 +80,10 @@ mod tests {
         let mut sim = build_vm(Some(ms(5)));
         sim.run();
         let pages = sim.world.stats.pages_drained;
-        let m = sim.world.fabric.stats().get(&MsgClass::Migration);
+        let m = sim.world.fabric.traffic(MsgClass::Migration);
         let mut reactive = build_vm(None);
         reactive.run();
-        let r = reactive.world.fabric.stats().get(&MsgClass::Migration);
+        let r = reactive.world.fabric.traffic(MsgClass::Migration);
         // The page stream is one Migration-class message of 4160 bytes a
         // page; the rest is vCPU 2's 8 KiB state dump and its 64-byte
         // handoff. A reactive restore streams no migration traffic.

@@ -165,7 +165,7 @@ fn predicted_failure_drains_instead_of_restoring() {
     assert!(s.drain_time < ms(2), "{}", s.drain_time);
     assert!(done > ms(100));
     // The page stream is priced on the fabric as migration traffic.
-    let migration = sim.world.fabric.stats().get(&MsgClass::Migration);
+    let migration = sim.world.fabric.traffic(MsgClass::Migration);
     assert!(
         migration.bytes >= s.pages_drained * (4096 + 64),
         "{} bytes",

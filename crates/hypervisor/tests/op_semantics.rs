@@ -247,7 +247,7 @@ fn console_writes_route_to_bootstrap_pty_worker() {
     assert_eq!(out.events, 2);
     assert_eq!(out.bytes, 200);
     // Only the remote slice's write crossed the fabric.
-    assert_eq!(sim.world.fabric.stats().get(&comm::MsgClass::Io).events, 1);
+    assert_eq!(sim.world.fabric.traffic(comm::MsgClass::Io).events, 1);
 }
 
 #[test]
@@ -271,7 +271,7 @@ fn queue_full_sends_are_retried_not_lost() {
         "the test must actually hit backpressure"
     );
     // Every send produced a kick on the fabric (none silently lost).
-    let io = sim.world.fabric.stats().get(&comm::MsgClass::Io);
+    let io = sim.world.fabric.traffic(comm::MsgClass::Io);
     assert!(
         io.events >= sends,
         "only {} kicks for {sends} sends",

@@ -6,8 +6,6 @@
 //! * [`TimeSeries`] — values over virtual time (Figure 14's traces).
 //! * [`Meter`] — event counts and rates (DSM faults/s, bytes/s).
 
-use std::collections::BTreeMap;
-
 use crate::time::SimTime;
 
 /// A sampled distribution with exact quantiles.
@@ -193,12 +191,6 @@ impl Meter {
         self.bytes += bytes;
     }
 
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: Meter) {
-        self.events += other.events;
-        self.bytes += other.bytes;
-    }
-
     /// Events per second over a span.
     pub fn rate_per_sec(&self, span: SimTime) -> f64 {
         let s = span.as_secs_f64();
@@ -217,53 +209,6 @@ impl Meter {
         } else {
             self.bytes as f64 / s
         }
-    }
-}
-
-/// A small labelled collection of meters, keyed by a caller-chosen tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MeterSet<K: Ord> {
-    meters: BTreeMap<K, Meter>,
-}
-
-impl<K: Ord> Default for MeterSet<K> {
-    fn default() -> Self {
-        MeterSet {
-            meters: BTreeMap::new(),
-        }
-    }
-}
-
-impl<K: Ord + Clone> MeterSet<K> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        MeterSet {
-            meters: BTreeMap::new(),
-        }
-    }
-
-    /// Records an event under `key`.
-    pub fn record(&mut self, key: K, bytes: u64) {
-        self.meters.entry(key).or_default().record(bytes);
-    }
-
-    /// Returns the meter for `key`, zeroed if never recorded.
-    pub fn get(&self, key: &K) -> Meter {
-        self.meters.get(key).copied().unwrap_or_default()
-    }
-
-    /// Sum across all keys.
-    pub fn total(&self) -> Meter {
-        let mut m = Meter::new();
-        for v in self.meters.values() {
-            m.merge(*v);
-        }
-        m
-    }
-
-    /// Iterates over `(key, meter)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &Meter)> {
-        self.meters.iter()
     }
 }
 
@@ -332,19 +277,5 @@ mod tests {
         assert_eq!(m.rate_per_sec(span), 5.0);
         assert_eq!(m.bytes_per_sec(span), 10.0 * 4096.0 / 2.0);
         assert_eq!(m.rate_per_sec(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn meter_set_totals() {
-        let mut s: MeterSet<&'static str> = MeterSet::new();
-        s.record("fetch", 4096);
-        s.record("fetch", 4096);
-        s.record("inval", 64);
-        assert_eq!(s.get(&"fetch").events, 2);
-        assert_eq!(s.get(&"inval").bytes, 64);
-        assert_eq!(s.get(&"missing").events, 0);
-        let t = s.total();
-        assert_eq!(t.events, 3);
-        assert_eq!(t.bytes, 8256);
     }
 }
