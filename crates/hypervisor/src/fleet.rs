@@ -71,6 +71,12 @@ const TAG_REQ: u64 = 0;
 /// Tag carried by reply messages (server → client vCPU).
 const TAG_REP: u64 = 1;
 
+/// Event-queue calendarization threshold of every shard engine. A shard
+/// hosting many tenants calendarizes early instead of pre-reserving the
+/// default heap of `vcpus * 8 + 64` entries, which raises peak RSS
+/// without a wall-clock gain.
+const SHARD_CALENDAR_THRESHOLD: usize = 256;
+
 /// One tenant's shape: who it talks to and how hard it works.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSpec {
@@ -127,9 +133,6 @@ pub struct FleetConfig {
     pub weights: ClassWeights,
     /// Determinism seed (each shard derives its own stream).
     pub seed: u64,
-    /// Event-queue calendarization threshold for shard engines
-    /// (`None` = the default high-water mark).
-    pub calendar_threshold: Option<usize>,
     /// Safety cap on window barriers before declaring the fleet hung.
     pub max_windows: u64,
 }
@@ -147,7 +150,6 @@ impl FleetConfig {
             fleet_link: LinkProfile::ethernet_1g(),
             weights: ClassWeights::default_qos(),
             seed: 0xF1EE7,
-            calendar_threshold: Some(256),
             max_windows: 20_000_000,
         }
     }
@@ -638,10 +640,8 @@ impl FleetSim {
         let nodes = cfg.nodes_per_shard;
         let base = shard * cfg.tenants_per_shard;
         let mut b = VmBuilder::new(cfg.profile, nodes as usize)
-            .seed(cfg.seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(u64::from(shard) + 1)));
-        if let Some(t) = cfg.calendar_threshold {
-            b = b.with_calendar_threshold(t);
-        }
+            .seed(cfg.seed ^ (0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(u64::from(shard) + 1)))
+            .with_calendar_threshold(SHARD_CALENDAR_THRESHOLD);
         for local in 0..cfg.tenants_per_shard {
             let tenant = base + local;
             let spec = self.tenants[tenant as usize];

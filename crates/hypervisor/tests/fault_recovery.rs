@@ -448,6 +448,38 @@ fn restore_target_crash_mid_restore_falls_back_to_spare() {
     assert!(violations.is_empty(), "audit violations: {violations:?}");
 }
 
+#[test]
+fn barrier_party_restored_after_a_crash_is_not_woken_again() {
+    use hypervisor::program::{Op, Scripted};
+    // vCPU1 waits at the barrier when its node crashes at 5 ms; recovery
+    // restores it past the barrier and it finishes long before vCPU0
+    // arrives at 20 ms. The release must leave the finished vCPU alone,
+    // so vCPU0 still runs its last millisecond.
+    let mut cfg = detector();
+    cfg.restore_to = NodeId::new(1);
+    let barrier = Op::Barrier { id: 1, parties: 2 };
+    let mut sim = VmBuilder::new(HypervisorProfile::fragvisor(), 3)
+        .with_fault_plan(FaultPlan::scripted(7).crash(2, ms(5)))
+        .with_failure_detector(cfg)
+        .vcpu(
+            Placement::new(0, 0),
+            Box::new(Scripted::new([
+                Op::Compute(ms(20)),
+                barrier.clone(),
+                Op::Compute(ms(1)),
+            ])),
+        )
+        .vcpu(
+            Placement::new(2, 0),
+            Box::new(Scripted::new([barrier, Op::Compute(ms(1))])),
+        )
+        .build();
+    assert_eq!(sim.run(), ms(21));
+    let finish = &sim.world.stats.vcpu_finish;
+    assert_eq!(finish[0], Some(ms(21)));
+    assert!(finish[1].is_some_and(|t| t < ms(20)), "{finish:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -2,7 +2,9 @@
 //! fairness, and the migration/wakeup races.
 
 use hypervisor::program::Scripted;
-use hypervisor::{GuestMsg, HypervisorProfile, Op, Placement, ProgCtx, Program, VcpuId, VmBuilder};
+use hypervisor::{
+    Event, GuestMsg, HypervisorProfile, Op, Placement, ProgCtx, Program, VcpuId, VmBuilder, VmSim,
+};
 use sim_core::time::SimTime;
 
 fn ms(n: u64) -> SimTime {
@@ -189,6 +191,161 @@ fn sleeping_vcpu_migrates_and_still_wakes() {
     let done = sim.run();
     // Sleep must not be cut short by the migration resume.
     assert_eq!(done, ms(11));
+}
+
+/// Compute the woken vCPU runs after its wake in
+/// [`wakes_landing_mid_migration_resume_at_migration_done`].
+const TAIL: SimTime = SimTime::from_millis(1);
+
+/// A VM whose vCPU1 (on node 1 of 3) blocks at once and, unmigrated, is
+/// woken at `wake_ns`; after the wake it computes [`TAIL`] and finishes.
+struct WakeCase {
+    name: &'static str,
+    build: fn() -> VmSim,
+    wake_ns: u64,
+}
+
+fn ipi_wake() -> VmSim {
+    VmBuilder::new(HypervisorProfile::fragvisor(), 3)
+        .vcpu(
+            Placement::new(0, 0),
+            Box::new(Scripted::new([
+                Op::Compute(ms(1)),
+                Op::SendIpi(VcpuId::new(1)),
+            ])),
+        )
+        .vcpu(
+            Placement::new(1, 0),
+            Box::new(Scripted::new([Op::WaitIpi, Op::Compute(TAIL)])),
+        )
+        .build()
+}
+
+fn fleet_net_wake() -> VmSim {
+    let mut sim = VmBuilder::new(HypervisorProfile::fragvisor(), 3)
+        .vcpu(
+            Placement::new(0, 0),
+            Box::new(Scripted::new([Op::Compute(ms(1))])),
+        )
+        .vcpu(
+            Placement::new(1, 0),
+            Box::new(Scripted::new([Op::NetRecv, Op::Compute(TAIL)])),
+        )
+        .build();
+    sim.engine.schedule_at(
+        ms(1),
+        Event::FleetDeliver {
+            vcpu: VcpuId::new(1),
+            msg: GuestMsg::Net { conn: 7, bytes: 64 },
+        },
+    );
+    sim
+}
+
+fn blk_io_wake() -> VmSim {
+    VmBuilder::new(HypervisorProfile::fragvisor(), 3)
+        .with_blk(comm::NodeId::new(0))
+        .vcpu(
+            Placement::new(0, 0),
+            Box::new(Scripted::new([Op::Compute(ms(1))])),
+        )
+        .vcpu(
+            Placement::new(1, 0),
+            Box::new(Scripted::new([
+                Op::BlkIo {
+                    bytes: sim_core::units::ByteSize::kib(256),
+                    write: false,
+                    tmpfs: false,
+                    buffer: (0..4).map(|i| dsm::PageId::new(600_000 + i)).collect(),
+                },
+                Op::Compute(TAIL),
+            ])),
+        )
+        .build()
+}
+
+fn barrier_wake() -> VmSim {
+    VmBuilder::new(HypervisorProfile::fragvisor(), 3)
+        .vcpu(
+            Placement::new(0, 0),
+            Box::new(Scripted::new([
+                Op::Compute(ms(1)),
+                Op::Barrier { id: 3, parties: 2 },
+            ])),
+        )
+        .vcpu(
+            Placement::new(1, 0),
+            Box::new(Scripted::new([
+                Op::Barrier { id: 3, parties: 2 },
+                Op::Compute(TAIL),
+            ])),
+        )
+        .build()
+}
+
+#[test]
+fn wakes_landing_mid_migration_resume_at_migration_done() {
+    let cases = [
+        WakeCase {
+            name: "WaitIpi",
+            build: ipi_wake,
+            wake_ns: 1_002_109,
+        },
+        WakeCase {
+            name: "NetRecv via FleetDeliver",
+            build: fleet_net_wake,
+            wake_ns: 1_000_000,
+        },
+        WakeCase {
+            name: "BlkIo",
+            build: blk_io_wake,
+            wake_ns: 565_955,
+        },
+        WakeCase {
+            name: "Barrier",
+            build: barrier_wake,
+            wake_ns: 1_000_000,
+        },
+    ];
+    let waiter = VcpuId::new(1);
+    let migration = HypervisorProfile::fragvisor().vcpu_migration_cost;
+    for case in cases {
+        // Unmigrated, the waiter finishes TAIL after its wake.
+        let mut sim = (case.build)();
+        let _ = sim.run();
+        let wake = SimTime::from_nanos(case.wake_ns);
+        assert_eq!(
+            sim.world.stats.vcpu_finish[1],
+            Some(wake + TAIL),
+            "{}",
+            case.name
+        );
+        // Start the migration 40us before the wake, so the wake lands
+        // while the vCPU is in flight (86us): it must be replayed when the
+        // migration lands, and the waiter finishes TAIL after that.
+        let start = wake - SimTime::from_micros(40);
+        let mut sim = (case.build)();
+        sim.run_until(start);
+        assert!(
+            sim.migrate_vcpu(waiter, Placement::new(2, 0)),
+            "{}",
+            case.name
+        );
+        let _ = sim.run();
+        assert_eq!(
+            sim.world.stats.vcpu_finish[1],
+            Some(start + migration + TAIL),
+            "{}",
+            case.name
+        );
+        assert_eq!(
+            sim.world.placement_of(waiter).node,
+            comm::NodeId::new(2),
+            "{}",
+            case.name
+        );
+        assert_eq!(sim.world.stats.migrations, 1, "{}", case.name);
+    }
 }
 
 #[test]

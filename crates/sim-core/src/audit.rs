@@ -49,17 +49,17 @@
 //!   without an intervening swap-in, and no node hits or faults a
 //!   swapped-out page before its `PageSwapIn`.
 //!
-//! The fabric rules assume a complete event stream; traces captured with
-//! `Tracer::with_sampling` skip emissions and must not be audited. They
-//! hold under either scheduling discipline: `Scheduling::SingleFifo`
+//! The fabric rules assume a complete event stream. They hold under
+//! either scheduling discipline: `Scheduling::SingleFifo`
 //! traces record `prio: false` on every send (there is no priority tier
 //! to ride), which keeps the priority-inversion rule vacuous there, and
 //! single-FIFO serialization is trivially per-class FIFO and within the
 //! emitted bound.
 //!
-//! The auditor is deliberately tolerant of *truncated* traces (the sink is
-//! a ring buffer): DSM events for pages whose allocation fell out of the
-//! window are ignored rather than misreported.
+//! [`audit`] tolerates a *truncated* slice: DSM events for pages whose
+//! allocation fell out of the window are ignored rather than misreported.
+//! [`audit_tracer`] refuses a ring that dropped events outright, because
+//! a clean tail says nothing about the events that fell out of it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -897,22 +897,21 @@ pub fn audit(events: &[TraceEvent]) -> Vec<Violation> {
     violations
 }
 
-/// Audits the events buffered in a [`Tracer`], refusing sampled streams.
+/// Audits the events buffered in a [`Tracer`], refusing a truncated ring.
 ///
-/// The replay rules assume every emission is present: a 1-in-N sampled
-/// trace (see [`Tracer::with_sampling`]) drops invalidations, grants and
-/// transfers at random, which the rules would misread as protocol
-/// violations. This entry point checks the tracer's sampling period first
-/// and returns `Err` instead of producing false positives. Audit a raw
-/// event slice with [`audit`] only when you know it is complete.
+/// The replay rules assume every emission is present. A ring that
+/// overflowed holds only the tail of the run, and a clean tail would be
+/// reported as a clean run, so this entry point returns `Err` when
+/// [`Tracer::dropped`] is nonzero. Audit a raw event slice with [`audit`]
+/// only when you know it is complete.
 ///
 /// The ring is audited in place, under a borrow, without copying it.
 ///
 /// [`Tracer`]: crate::trace::Tracer
-/// [`Tracer::with_sampling`]: crate::trace::Tracer::with_sampling
+/// [`Tracer::dropped`]: crate::trace::Tracer::dropped
 pub fn audit_tracer(tracer: &crate::trace::Tracer) -> Result<Vec<Violation>, &'static str> {
-    if tracer.sampling() > 1 {
-        return Err("refusing to audit a sampled trace: the invariants assume a complete stream");
+    if tracer.dropped() > 0 {
+        return Err("refusing to audit a truncated trace: the ring dropped events");
     }
     Ok(tracer.with_events(audit))
 }
@@ -1419,6 +1418,26 @@ mod tests {
             write: true,
         }];
         assert!(audit(&events).is_empty());
+    }
+
+    #[test]
+    fn overflowed_ring_is_refused_not_audited() {
+        let emit = |t: &crate::trace::Tracer, at: u64| {
+            t.emit_with(|| E::DsmAlloc {
+                at,
+                page: at,
+                home: 0,
+            });
+        };
+        let tracer = crate::trace::Tracer::ring(4);
+        for at in 0..4 {
+            emit(&tracer, at);
+        }
+        assert_eq!(audit_tracer(&tracer).map(|v| v.len()), Ok(0));
+        // Clean events all the same: only the overflow is refused.
+        emit(&tracer, 4);
+        assert_eq!(tracer.dropped(), 1);
+        assert!(audit_tracer(&tracer).is_err());
     }
 
     #[test]

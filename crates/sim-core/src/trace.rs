@@ -968,12 +968,6 @@ struct Ring {
     buf: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    /// Keep every `sample_every`-th emission (1 = keep all).
-    sample_every: u64,
-    /// Emissions the sampler still skips before it keeps the next one.
-    skip: u64,
-    /// Emissions skipped by sampling.
-    sampled_out: u64,
 }
 
 /// A cloneable handle to a trace sink.
@@ -1002,30 +996,8 @@ impl Tracer {
                 buf: VecDeque::with_capacity(capacity.min(1 << 16)),
                 capacity: capacity.max(1),
                 dropped: 0,
-                sample_every: 1,
-                skip: 0,
-                sampled_out: 0,
             }))),
         }
-    }
-
-    /// Turns on 1-in-`every` sampling: only every `every`-th emission is
-    /// kept (the first always is), so long datacenter runs stay traced
-    /// without a giant ring. No-op on a disabled tracer, which stays
-    /// zero-cost. Sampled traces are for debugging and aggregate metrics;
-    /// the [`crate::audit`] invariants assume a complete stream, so audit
-    /// unsampled traces only.
-    pub fn with_sampling(self, every: u64) -> Self {
-        if let Some(ring) = &self.inner {
-            ring.borrow_mut().sample_every = every.max(1);
-        }
-        self
-    }
-
-    /// The active sampling period (1 = every emission kept; also 1 when
-    /// disabled).
-    pub fn sampling(&self) -> u64 {
-        self.inner.as_ref().map_or(1, |r| r.borrow().sample_every)
     }
 
     /// Whether a sink is attached.
@@ -1033,22 +1005,14 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Emits an event, constructing it only if the sink is enabled and the
-    /// sampler keeps it.
+    /// Emits an event, constructing it only if the sink is enabled.
     ///
     /// This is the only emission API on purpose: call sites pass a closure,
-    /// so the disabled path is one branch with zero allocation, and a
-    /// sampled-out emission never constructs the event.
+    /// so the disabled path is one branch with zero allocation.
     #[inline]
     pub fn emit_with(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(ring) = &self.inner {
             let mut r = ring.borrow_mut();
-            if r.skip > 0 {
-                r.skip -= 1;
-                r.sampled_out += 1;
-                return;
-            }
-            r.skip = r.sample_every - 1;
             if r.buf.len() == r.capacity {
                 r.buf.pop_front();
                 r.dropped += 1;
@@ -1073,11 +1037,6 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |r| r.borrow().dropped)
     }
 
-    /// Number of emissions skipped by the sampler.
-    pub fn sampled_out(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |r| r.borrow().sampled_out)
-    }
-
     /// Copies the buffered events out, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.inner
@@ -1091,7 +1050,6 @@ impl Tracer {
             let mut r = r.borrow_mut();
             r.buf.clear();
             r.dropped = 0;
-            r.sampled_out = 0;
         }
     }
 
@@ -1535,53 +1493,5 @@ mod tests {
             push_u64(&mut out, v);
             assert_eq!(out, v.to_string());
         }
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth_emission() {
-        let t = Tracer::ring(64).with_sampling(4);
-        assert_eq!(t.sampling(), 4);
-        for i in 0..10 {
-            t.emit_with(|| TraceEvent::DsmAlloc {
-                at: i,
-                page: i,
-                home: 0,
-            });
-        }
-        // Emissions 0, 4, 8 are kept.
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(
-            snap.iter().map(|e| e.at()).collect::<Vec<_>>(),
-            vec![0, 4, 8]
-        );
-        assert_eq!(t.sampled_out(), 7);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn sampled_out_emissions_never_run_the_closure() {
-        let t = Tracer::ring(64).with_sampling(2);
-        let mut runs = 0;
-        for _ in 0..6 {
-            t.emit_with(|| {
-                runs += 1;
-                TraceEvent::FabricLinkReset { src: 0, dst: 1 }
-            });
-        }
-        assert_eq!(runs, 3);
-    }
-
-    #[test]
-    fn sampling_on_disabled_tracer_stays_free() {
-        let t = Tracer::disabled().with_sampling(8);
-        assert!(!t.is_enabled());
-        assert_eq!(t.sampling(), 1);
-        let mut ran = false;
-        t.emit_with(|| {
-            ran = true;
-            TraceEvent::FabricLinkReset { src: 0, dst: 1 }
-        });
-        assert!(!ran);
     }
 }
