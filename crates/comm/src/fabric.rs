@@ -24,7 +24,7 @@ use sim_core::fault::{Disruption, FaultInjector, FaultPlan};
 use sim_core::stats::Meter;
 use sim_core::time::SimTime;
 use sim_core::trace::{TraceEvent, Tracer};
-use sim_core::units::ByteSize;
+use sim_core::units::{Bandwidth, ByteSize};
 
 use crate::profile::LinkProfile;
 use crate::NodeId;
@@ -299,9 +299,36 @@ impl Link {
     }
 }
 
-/// `t * num / den` in integer nanoseconds, rounded down.
+/// The last two transfer times priced on a fabric, newest first, keyed by
+/// link bandwidth (its bits) and message size. Exact, as a transfer time
+/// depends on nothing else. One memo per fabric, not per link: a
+/// homogeneous cluster prices every remote link alike, and a per-link
+/// memo would grow the dense `nodes²` link table.
+#[derive(Debug, Clone, Default)]
+struct TransferMemo([Option<(u64, u64, SimTime)>; 2]);
+
+impl TransferMemo {
+    fn transfer_time(&mut self, bandwidth: Bandwidth, size: ByteSize) -> SimTime {
+        let key = (bandwidth.0.to_bits(), size.as_u64());
+        match self.0 {
+            [Some((b, n, t)), _] | [_, Some((b, n, t))] if (b, n) == key => t,
+            [newest, _] => {
+                let t = bandwidth.transfer_time(size);
+                self.0 = [Some((key.0, key.1, t)), newest];
+                t
+            }
+        }
+    }
+}
+
+/// `t * num / den` in integer nanoseconds, rounded down. Widens to `u128`
+/// only when `t * num` overflows `u64`.
 fn stretch(t: SimTime, num: u32, den: u32) -> SimTime {
-    SimTime::from_nanos((u128::from(t.as_nanos()) * u128::from(num) / u128::from(den)) as u64)
+    SimTime::from_nanos(match t.as_nanos().checked_mul(u64::from(num)) {
+        _ if num == den => t.as_nanos(),
+        Some(p) => p / u64::from(den),
+        None => (u128::from(t.as_nanos()) * u128::from(num) / u128::from(den)) as u64,
+    })
 }
 
 /// The message fabric connecting every node pair.
@@ -322,11 +349,14 @@ pub struct Fabric {
     messages_sent: u64,
     tracer: Tracer,
     /// Interpreter of the injected fault plan, if any.
-    injector: Option<FaultInjector>,
+    /// Boxed: most fabrics run without one, and a fabric is embedded in
+    /// every VM.
+    injector: Option<Box<FaultInjector>>,
     retry: RetryPolicy,
     dropped: u64,
     duplicated: u64,
     retries: u64,
+    memo: TransferMemo,
 }
 
 impl Fabric {
@@ -351,6 +381,7 @@ impl Fabric {
             dropped: 0,
             duplicated: 0,
             retries: 0,
+            memo: TransferMemo::default(),
         }
     }
 
@@ -380,7 +411,7 @@ impl Fabric {
     /// crashed endpoints, loss, duplication and added latency. Replaces
     /// any previously injected plan (and its derived random stream).
     pub fn inject_faults(&mut self, plan: FaultPlan) {
-        self.injector = Some(FaultInjector::new(plan));
+        self.injector = Some(Box::new(FaultInjector::new(plan)));
     }
 
     /// The injected fault plan, if any.
@@ -584,21 +615,20 @@ impl Fabric {
         let on_prio_tier = scheduling == Scheduling::QosClassed && msg.is_priority();
         let slot = self.slot(src, dst);
         let link = &mut self.links[slot];
-        let base = link.profile.bandwidth.transfer_time(size);
-        // The starvation bound the trace reports is `base * bound_w / wc`
-        // (+ `extra`); off the weighted-fair tier nothing stretches.
-        let (start, serialize, bound_w, wc) = match scheduling {
+        let base = self.memo.transfer_time(link.profile.bandwidth, size);
+        let weighted = scheduling == Scheduling::QosClassed && !on_prio_tier;
+        let (start, serialize) = match scheduling {
             Scheduling::SingleFifo => {
                 let ser = base + extra;
                 let start = now.max(link.fifo_free_at);
                 link.fifo_free_at = start + ser;
-                (start, ser, 1, 1)
+                (start, ser)
             }
             Scheduling::QosClassed if on_prio_tier => {
                 let ser = base + extra;
                 let start = now.max(link.prio_free_at);
                 link.prio_free_at = start + ser;
-                (start, ser, 1, 1)
+                (start, ser)
             }
             Scheduling::QosClassed => {
                 let w = link.profile.weights;
@@ -620,7 +650,7 @@ impl Fabric {
                 let serialize = stretch(base, active, wc) + extra;
                 let start = now.max(link.bulk_free_at[class.index()]);
                 link.bulk_free_at[class.index()] = start + serialize;
-                (start, serialize, w.total().max(wc), wc)
+                (start, serialize)
             }
         };
         let profile = link.profile;
@@ -628,17 +658,26 @@ impl Fabric {
             start + serialize + profile.wire_latency + profile.stack.per_message_latency();
         self.meters[class.index()].record(size.as_u64());
         self.messages_sent += 1;
-        self.tracer.emit_with(|| TraceEvent::FabricSend {
-            at: now.as_nanos(),
-            src: src.0,
-            dst: dst.0,
-            class: class.label(),
-            prio: on_prio_tier,
-            bytes: size.as_u64(),
-            queued_ns: (start - now).as_nanos(),
-            serialize_ns: serialize.as_nanos(),
-            bound_ns: (stretch(base, bound_w, wc) + extra).as_nanos(),
-            deliver_at: deliver_at.as_nanos(),
+        self.tracer.emit_with(|| {
+            // The starvation bound is `base * bound_w / wc` (+ `extra`);
+            // off the weighted-fair tier nothing stretches.
+            let w = profile.weights;
+            let (bound_w, wc) = match w.weight(class).max(1) {
+                wc if weighted => (w.total().max(wc), wc),
+                _ => (1, 1),
+            };
+            TraceEvent::FabricSend {
+                at: now.as_nanos(),
+                src: src.0,
+                dst: dst.0,
+                class: class.label(),
+                prio: on_prio_tier,
+                bytes: size.as_u64(),
+                queued_ns: (start - now).as_nanos(),
+                serialize_ns: serialize.as_nanos(),
+                bound_ns: (stretch(base, bound_w, wc) + extra).as_nanos(),
+                deliver_at: deliver_at.as_nanos(),
+            }
         });
         Delivery {
             deliver_at,
@@ -671,7 +710,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::profile::{ClassWeights, StackProfile};
-    use sim_core::units::Bandwidth;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -958,5 +997,68 @@ mod tests {
         // The legacy discipline makes the IPI wait out the whole stream.
         assert!(ipi.deliver_at > ck.deliver_at - SimTime::from_micros(5));
         assert!(ipi.deliver_at > SimTime::from_millis(9));
+    }
+
+    /// Message sizes that repeat often (the two DSM message sizes
+    /// dominate real runs), with a random tail so the memo also misses.
+    fn size() -> impl Strategy<Value = u64> {
+        prop_oneof![3 => 0u64..4, 1 => 4u64..1_000_000]
+            .prop_map(|k| [64, 65, 4160, 8192].get(k as usize).copied().unwrap_or(k))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The memoized transfer time changes nothing: a fabric whose memo
+        /// is wiped before every send (so it prices each message with the
+        /// bandwidth formula) returns the same deliveries and traces the
+        /// same `FabricSend` fields, across `set_link` overrides.
+        #[test]
+        fn memoized_sends_match_the_unmemoized_formula(
+            steps in proptest::collection::vec(
+                ((0u64..20_000, 0u32..3), (0u32..3, size(), 0usize..7)),
+                1..300,
+            ),
+            fifo in any::<bool>(),
+        ) {
+            let ib = LinkProfile::infiniband_56g();
+            let (mut memo, mut plain) = (Fabric::homogeneous(3, ib), Fabric::homogeneous(3, ib));
+            let (tm, tp) = (Tracer::ring(1 << 12), Tracer::ring(1 << 12));
+            memo.attach_tracer(tm.clone());
+            plain.attach_tracer(tp.clone());
+            if fifo {
+                memo.set_scheduling(Scheduling::SingleFifo);
+                plain.set_scheduling(Scheduling::SingleFifo);
+            }
+            let mut now = SimTime::ZERO;
+            for ((dt_ns, src), (dst, size, class)) in steps {
+                // Class 6 stands for a link override instead of a send.
+                if class == 6 {
+                    let profile = [ib, LinkProfile::ethernet_1g(), test_profile()][size as usize % 3];
+                    memo.set_link(n(src), n(dst), profile);
+                    plain.set_link(n(src), n(dst), profile);
+                    continue;
+                }
+                now += SimTime::from_nanos(dt_ns);
+                let m = msg(src, dst, size, MsgClass::ALL[class]);
+                plain.memo = TransferMemo::default();
+                prop_assert_eq!(memo.send(now, m), plain.send(now, m));
+            }
+            prop_assert_eq!(tm.snapshot(), tp.snapshot());
+        }
+
+        /// `stretch`'s shortcuts (`num == den`, `u64` arithmetic) equal the
+        /// `u128` formula, including products that overflow `u64`.
+        #[test]
+        fn stretch_matches_the_u128_formula(
+            t in prop_oneof![0u64..1_000_000_000, (u64::MAX / 64)..u64::MAX],
+            num in 0u32..66,
+            den in 1u32..66,
+        ) {
+            let want = (u128::from(t) * u128::from(num) / u128::from(den)) as u64;
+            let t = SimTime::from_nanos(t);
+            prop_assert_eq!(stretch(t, num, den).as_nanos(), want);
+            prop_assert_eq!(stretch(t, den, den), t);
+        }
     }
 }

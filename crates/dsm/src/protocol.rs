@@ -114,6 +114,10 @@ struct Chunk {
     /// Cluster epoch at the last ownership grant: a copy granted before a
     /// fence is provably stale relative to any re-grant after it.
     epoch: Vec<u64>,
+    /// One bit per slot (64 words), allocated by the first log compaction
+    /// that reaches the chunk: the pages a compaction pass has already
+    /// kept. All zero between passes.
+    marks: Vec<u64>,
 }
 
 impl Chunk {
@@ -128,6 +132,7 @@ impl Chunk {
             class: vec![PageClass::Private; CHUNK],
             busy_until: vec![SimTime::ZERO; CHUNK],
             epoch: vec![0; CHUNK],
+            marks: Vec::new(),
         })
     }
 }
@@ -174,21 +179,32 @@ impl PageTable {
             .expect("page-table chunk")
     }
 
+    /// Whether an access by `node` is served without a transition: a
+    /// read of a page it holds, or a write to a page it owns exclusively.
+    #[inline]
+    fn hits(&self, idx: usize, node: u32, access: Access) -> bool {
+        self.chunk(idx).is_some_and(|c| {
+            let i = idx & (CHUNK - 1);
+            match access {
+                Access::Read => c.sharers[i].contains(node),
+                Access::Write => c.owner[i] == node && c.mode[i] == Mode::Exclusive,
+            }
+        })
+    }
+
     #[inline]
     fn present(&self, idx: usize) -> bool {
         self.chunk(idx)
             .is_some_and(|c| c.owner[idx & (CHUNK - 1)] != ABSENT)
     }
 
-    /// Ensures the chunk covering `idx` exists.
-    fn grow_to(&mut self, idx: usize) {
+    /// The chunk covering `idx`, allocated if it does not exist yet.
+    fn grow_to(&mut self, idx: usize) -> &mut Chunk {
         let ci = idx >> CHUNK_BITS;
         if self.chunks.len() <= ci {
             self.chunks.resize_with(ci + 1, || None);
         }
-        if self.chunks[ci].is_none() {
-            self.chunks[ci] = Some(Chunk::new());
-        }
+        self.chunks[ci].get_or_insert_with(Chunk::new)
     }
 
     #[inline]
@@ -225,16 +241,6 @@ impl PageTable {
     }
 
     #[inline]
-    fn set_sharers(&mut self, idx: usize, v: NodeSet) {
-        self.chunk_mut(idx).sharers[idx & (CHUNK - 1)] = v;
-    }
-
-    #[inline]
-    fn take_sharers(&mut self, idx: usize) -> NodeSet {
-        std::mem::take(&mut self.chunk_mut(idx).sharers[idx & (CHUNK - 1)])
-    }
-
-    #[inline]
     fn gen(&self, idx: usize) -> u64 {
         self.chunk(idx).map_or(0, |c| c.gen[idx & (CHUNK - 1)])
     }
@@ -255,29 +261,14 @@ impl PageTable {
     }
 
     #[inline]
-    fn set_class(&mut self, idx: usize, v: PageClass) {
-        self.chunk_mut(idx).class[idx & (CHUNK - 1)] = v;
-    }
-
-    #[inline]
     fn busy_until(&self, idx: usize) -> SimTime {
         self.chunk(idx)
             .map_or(SimTime::ZERO, |c| c.busy_until[idx & (CHUNK - 1)])
     }
 
     #[inline]
-    fn set_busy_until(&mut self, idx: usize, v: SimTime) {
-        self.chunk_mut(idx).busy_until[idx & (CHUNK - 1)] = v;
-    }
-
-    #[inline]
     fn epoch(&self, idx: usize) -> u64 {
         self.chunk(idx).map_or(0, |c| c.epoch[idx & (CHUNK - 1)])
-    }
-
-    #[inline]
-    fn set_epoch(&mut self, idx: usize, v: u64) {
-        self.chunk_mut(idx).epoch[idx & (CHUNK - 1)] = v;
     }
 
     /// Indices of all present entries, ascending (verification paths only).
@@ -316,7 +307,7 @@ struct LogEntry {
 /// behind. [`Dsm::drain_node`] sorts + dedups the log and skips entries
 /// the directory no longer confirms, and amortized compaction
 /// ([`Dsm::maybe_compact`]) keeps each log within a constant factor of the
-/// node's live footprint.
+/// node's live footprint. Log order carries no meaning.
 ///
 /// Invariant: every page where this node is a sharer (or owner) has at
 /// least one log entry. Compaction preserves it, and only compaction or
@@ -332,7 +323,7 @@ struct NodeIndex {
     log: Vec<LogEntry>,
 }
 
-/// Logs below this length never compact (the sort isn't worth it).
+/// Logs below this length never compact (the pass isn't worth it).
 const COMPACT_MIN: usize = 64;
 
 /// The index slot for `node`, growing the table on first sight. A free
@@ -656,8 +647,8 @@ impl Dsm {
     /// that already exists is left untouched.
     pub fn ensure_page(&mut self, page: PageId, home: NodeId, class: PageClass) {
         let idx = page.index();
-        self.pt.grow_to(idx);
-        if self.pt.owner(idx) != ABSENT {
+        let (c, i) = (self.pt.grow_to(idx), idx & (CHUNK - 1));
+        if c.owner[i] != ABSENT {
             return;
         }
         self.tracer.emit_with(|| TraceEvent::DsmAlloc {
@@ -665,14 +656,15 @@ impl Dsm {
             page: u64::from(page.0),
             home: home.0,
         });
-        self.pt.set_owner(idx, home.0);
-        self.pt.set_mode(idx, Mode::Exclusive);
-        self.pt.sharers_mut(idx).clear();
-        self.pt.sharers_mut(idx).insert(home.0);
-        self.pt.set_class(idx, class);
-        self.pt.set_busy_until(idx, SimTime::ZERO);
-        self.pt.set_epoch(idx, self.cluster_epoch);
-        let stamp = self.pt.bump_gen(idx);
+        c.owner[i] = home.0;
+        c.mode[i] = Mode::Exclusive;
+        c.sharers[i].clear();
+        c.sharers[i].insert(home.0);
+        c.class[i] = class;
+        c.busy_until[i] = SimTime::ZERO;
+        c.epoch[i] = self.cluster_epoch;
+        c.gen[i] += 1;
+        let stamp = c.gen[i];
         self.pt.live += 1;
         let ni = slot(&mut self.nodes, home);
         ni.owned += 1;
@@ -714,12 +706,8 @@ impl Dsm {
     /// Completion time of the last transaction on this page; a new fault
     /// must queue behind it (directory serialization).
     pub fn busy_until(&self, page: PageId) -> SimTime {
-        let idx = page.index();
-        if self.pt.present(idx) {
-            self.pt.busy_until(idx)
-        } else {
-            SimTime::ZERO
-        }
+        // An absent slot's horizon is zero: allocation and release reset it.
+        self.pt.busy_until(page.index())
     }
 
     /// Records the completion time of an executed transaction.
@@ -730,8 +718,8 @@ impl Dsm {
     pub fn set_busy(&mut self, page: PageId, until: SimTime) {
         let idx = page.index();
         assert!(self.pt.present(idx), "set_busy on unknown page");
-        let b = self.pt.busy_until(idx).max(until);
-        self.pt.set_busy_until(idx, b);
+        let b = &mut self.pt.chunk_mut(idx).busy_until[idx & (CHUNK - 1)];
+        *b = (*b).max(until);
     }
 
     /// Classifies an access by `node` to `page`, applying the directory
@@ -740,17 +728,19 @@ impl Dsm {
     /// Unknown pages are first-touch allocated on the accessing node
     /// (a zero-fill mapping, free of DSM traffic) and report a [`Resolution::Hit`].
     pub fn access(&mut self, node: NodeId, page: PageId, access: Access) -> Resolution {
-        self.access_classified(node, page, access, PageClass::Private)
+        self.access_classified(node, page, access, PageClass::Private, None)
     }
 
     /// Like [`Dsm::access`], but first-touch allocations take the given
-    /// class instead of [`PageClass::Private`].
+    /// class instead of [`PageClass::Private`], and `home_on_alloc` picks
+    /// their home exactly as in [`Dsm::access_batch`].
     pub fn access_classified(
         &mut self,
         node: NodeId,
         page: PageId,
         access: Access,
         class_on_alloc: PageClass,
+        home_on_alloc: Option<NodeId>,
     ) -> Resolution {
         if self.is_fenced(node) {
             // A fenced node mutates nothing — not even a first touch.
@@ -759,40 +749,27 @@ impl Dsm {
         }
         let idx = page.index();
         if !self.pt.present(idx) {
-            // First touch: allocate locally, no protocol traffic.
-            self.ensure_page(page, node, class_on_alloc);
-            self.stats.first_touches += 1;
+            let Some(home) = home_on_alloc else {
+                // First touch: allocate locally, no protocol traffic.
+                self.ensure_page(page, node, class_on_alloc);
+                self.stats.first_touches += 1;
+                return Resolution::Hit;
+            };
+            self.ensure_page(page, home, class_on_alloc);
+        }
+        if self.pt.hits(idx, node.0, access) {
+            self.stats.hits += 1;
+            self.tracer.emit_with(|| TraceEvent::DsmHit {
+                at: self.clock.as_nanos(),
+                page: u64::from(page.0),
+                node: node.0,
+                write: access == Access::Write,
+            });
             return Resolution::Hit;
         }
-        let at = self.clock.as_nanos();
-        let pg = u64::from(page.0);
         let plan = match access {
-            Access::Read => {
-                if self.pt.sharers(idx).contains(node.0) {
-                    self.stats.hits += 1;
-                    self.tracer.emit_with(|| TraceEvent::DsmHit {
-                        at,
-                        page: pg,
-                        node: node.0,
-                        write: false,
-                    });
-                    return Resolution::Hit;
-                }
-                self.read_fault(node, page)
-            }
-            Access::Write => {
-                if self.pt.owner(idx) == node.0 && self.pt.mode(idx) == Mode::Exclusive {
-                    self.stats.hits += 1;
-                    self.tracer.emit_with(|| TraceEvent::DsmHit {
-                        at,
-                        page: pg,
-                        node: node.0,
-                        write: true,
-                    });
-                    return Resolution::Hit;
-                }
-                self.write_fault(node, page)
-            }
+            Access::Read => self.read_fault(node, page),
+            Access::Write => self.write_fault(node, page),
         };
         // Fault paths may have appended to the faulting node's page log;
         // bound it (amortized) now that the transition is applied.
@@ -860,13 +837,7 @@ impl Dsm {
                     Some(home) => self.ensure_page(page, home, class_on_alloc),
                 }
             }
-            let hit = match access {
-                Access::Read => self.pt.sharers(idx).contains(node.0),
-                Access::Write => {
-                    self.pt.owner(idx) == node.0 && self.pt.mode(idx) == Mode::Exclusive
-                }
-            };
-            if hit {
+            if self.pt.hits(idx, node.0, access) {
                 self.stats.hits += 1;
                 hits += 1;
                 run = match run {
@@ -924,12 +895,14 @@ impl Dsm {
         let idx = page.index();
         let at = self.clock.as_nanos();
         let pg = u64::from(page.0);
-        let class = self.pt.class(idx);
-        let owner = NodeId::new(self.pt.owner(idx));
-        self.pt.set_mode(idx, Mode::Shared);
-        self.pt.sharers_mut(idx).insert(node.0);
-        self.pt.set_epoch(idx, self.cluster_epoch);
-        let stamp = self.pt.bump_gen(idx);
+        let (c, i) = (self.pt.chunk_mut(idx), idx & (CHUNK - 1));
+        let class = c.class[i];
+        let owner = NodeId::new(c.owner[i]);
+        c.mode[i] = Mode::Shared;
+        c.sharers[i].insert(node.0);
+        c.epoch[i] = self.cluster_epoch;
+        c.gen[i] += 1;
+        let stamp = c.gen[i];
         let ni = slot(&mut self.nodes, node);
         ni.cached += 1;
         ni.log.push(LogEntry { page, stamp });
@@ -964,14 +937,15 @@ impl Dsm {
         let idx = page.index();
         let at = self.clock.as_nanos();
         let pg = u64::from(page.0);
-        let class = self.pt.class(idx);
+        let (c, i) = (self.pt.chunk_mut(idx), idx & (CHUNK - 1));
+        let class = c.class[i];
         let contextual = self.config.contextual && class == PageClass::PageTable;
         let dirty_bit_msg = self.config.dirty_bit_tracking;
-        let is_owner = self.pt.owner(idx) == node.0;
+        let is_owner = c.owner[i] == node.0;
         let plan = if is_owner {
             // Owner upgrades a shared page: invalidate other copies.
             let mut invalidate = Vec::new();
-            for s in self.pt.sharers(idx).iter() {
+            for s in c.sharers[i].iter() {
                 if s == node.0 {
                     continue;
                 }
@@ -1001,10 +975,10 @@ impl Dsm {
                 prefetched: Vec::new(),
             }
         } else {
-            let owner = NodeId::new(self.pt.owner(idx));
+            let owner = NodeId::new(c.owner[i]);
             let mut invalidate = Vec::new();
             let mut node_had_copy = false;
-            for s in self.pt.sharers(idx).iter() {
+            for s in c.sharers[i].iter() {
                 if s == node.0 {
                     node_had_copy = true;
                     continue;
@@ -1050,8 +1024,11 @@ impl Dsm {
             ni.owned += 1;
             if !node_had_copy {
                 ni.cached += 1;
-                // Stamped below, once the transition lands.
-                ni.log.push(LogEntry { page, stamp: 0 });
+                // The stamp the transition below gives the page.
+                ni.log.push(LogEntry {
+                    page,
+                    stamp: c.gen[i] + 1,
+                });
             }
             FaultPlan {
                 page,
@@ -1062,17 +1039,12 @@ impl Dsm {
                 prefetched: Vec::new(),
             }
         };
-        self.pt.set_owner(idx, node.0);
-        self.pt.set_mode(idx, Mode::Exclusive);
-        self.pt.sharers_mut(idx).clear();
-        self.pt.sharers_mut(idx).insert(node.0);
-        self.pt.set_epoch(idx, self.cluster_epoch);
-        let stamp = self.pt.bump_gen(idx);
-        if let Some(last) = self.nodes[node.index()].log.last_mut() {
-            if last.page == page && last.stamp == 0 {
-                last.stamp = stamp;
-            }
-        }
+        c.owner[i] = node.0;
+        c.mode[i] = Mode::Exclusive;
+        c.sharers[i].clear();
+        c.sharers[i].insert(node.0);
+        c.epoch[i] = self.cluster_epoch;
+        c.gen[i] += 1;
         self.stats.write_faults += 1;
         self.tracer.emit_with(|| TraceEvent::DsmGrant {
             at,
@@ -1165,37 +1137,54 @@ impl Dsm {
         self.nodes.get(node.index()).map_or(0, |n| n.cached)
     }
 
-    /// Compacts `node`'s page log when it has outgrown the node's live
-    /// footprint: sort + dedup, then drop entries the directory no longer
-    /// confirms. Amortized O(1) per log push — a compaction of length L
+    /// Compacts `node`'s page log once it has outgrown the node's live
+    /// footprint. Amortized O(1) per log push — a compaction of length L
     /// is paid for by the ≥ L/2 pushes (or invalidations) since the last
-    /// one. Generation stamps make the confirmation a single compare for
-    /// pages that have not transitioned since the entry was logged, and
-    /// surviving entries are re-stamped (their membership was just
-    /// proven), keeping the fast path effective for the next pass.
+    /// one.
     fn maybe_compact(&mut self, node: NodeId) {
-        let Some(ni) = self.nodes.get_mut(node.index()) else {
+        let Some(ni) = self.nodes.get(node.index()) else {
             return;
         };
-        if ni.log.len() < COMPACT_MIN || (ni.log.len() as u64) < ni.cached.saturating_mul(2) {
-            return;
+        if ni.log.len() >= COMPACT_MIN && (ni.log.len() as u64) >= ni.cached.saturating_mul(2) {
+            self.compact(node);
         }
-        let mut log = std::mem::take(&mut ni.log);
-        sort_dedup(&mut log);
-        let pt = &self.pt;
+    }
+
+    /// Rewrites `node`'s log to hold each page the node still holds
+    /// exactly once, in one pass and without sorting: an entry stays only
+    /// if the directory confirms the copy and no earlier entry for the
+    /// page was kept (the chunk's mark bitmap says so; the pass clears
+    /// its marks before returning). The result is unordered; consumers that
+    /// need page order sort it. Generation stamps make the confirmation a
+    /// single compare for pages that have not transitioned since the
+    /// entry was logged, and surviving entries are re-stamped (their
+    /// membership was just proven), keeping the fast path effective for
+    /// the next pass.
+    fn compact(&mut self, node: NodeId) {
+        let (log, pt) = (&mut self.nodes[node.index()].log, &mut self.pt);
         log.retain_mut(|e| {
             let idx = e.page.index();
-            if !pt.present(idx) {
+            let (c, i) = (pt.chunk_mut(idx), idx & (CHUNK - 1));
+            if c.marks.is_empty() {
+                c.marks = vec![0; CHUNK / 64];
+            }
+            let bit = 1u64 << (i % 64);
+            if c.owner[i] == ABSENT
+                || c.marks[i / 64] & bit != 0
+                || (c.gen[i] != e.stamp && !c.sharers[i].contains(node.0))
+            {
                 return false;
             }
-            if pt.gen(idx) == e.stamp || pt.sharers(idx).contains(node.0) {
-                e.stamp = pt.gen(idx);
-                true
-            } else {
-                false
-            }
+            c.marks[i / 64] |= bit;
+            e.stamp = c.gen[i];
+            true
         });
-        self.nodes[node.index()].log = log;
+        // Every set bit belongs to a kept page, so zeroing the kept
+        // pages' words clears the bitmaps.
+        for e in log.iter() {
+            let i = e.page.index() & (CHUNK - 1);
+            pt.chunk_mut(e.page.index()).marks[i / 64] = 0;
+        }
     }
 
     /// Total pages allocated in the directory (including bulk).
@@ -1308,9 +1297,9 @@ impl Dsm {
     /// balloon driver only ever hands back guest-private pages). Victims
     /// are ordered by `(priority, page id)` so selection is deterministic.
     ///
-    /// O(pages the node holds): the node's page log is compacted (sort +
-    /// dedup + drop stale entries) and scanned once — the same cost
-    /// profile as [`Dsm::drain_node`], never a directory scan. Bulk pages
+    /// O(pages the node holds): the node's page log is compacted and
+    /// scanned once — the same cost profile as [`Dsm::drain_node`], never
+    /// a directory scan. Bulk pages
     /// have no per-page identity and are never selected.
     pub fn reclaim_victims(
         &mut self,
@@ -1323,22 +1312,10 @@ impl Dsm {
         }
         // Full compaction doubles as candidate discovery: afterwards the
         // log holds exactly the pages the node shares or owns.
-        let mut log = std::mem::take(&mut self.nodes[node.index()].log);
-        sort_dedup(&mut log);
+        self.compact(node);
         let pt = &self.pt;
-        log.retain_mut(|e| {
-            let idx = e.page.index();
-            if !pt.present(idx) {
-                return false;
-            }
-            if pt.gen(idx) == e.stamp || pt.sharers(idx).contains(node.0) {
-                e.stamp = pt.gen(idx);
-                true
-            } else {
-                false
-            }
-        });
-        let mut ranked: Vec<(u8, PageId)> = log
+        let mut ranked: Vec<(u8, PageId)> = self.nodes[node.index()]
+            .log
             .iter()
             .filter_map(|e| {
                 let idx = e.page.index();
@@ -1348,7 +1325,6 @@ impl Dsm {
                 rank(pt.class(idx)).map(|r| (r, e.page))
             })
             .collect();
-        self.nodes[node.index()].log = log;
         ranked.sort_unstable();
         ranked.truncate(max);
         ranked.into_iter().map(|(_, p)| p).collect()
@@ -1434,7 +1410,7 @@ impl Dsm {
         let pg = u64::from(page.0);
         let owner = self.pt.owner(idx);
         let class = self.pt.class(idx);
-        let sharers = self.pt.take_sharers(idx);
+        let sharers = std::mem::take(self.pt.sharers_mut(idx));
         for s in sharers.iter() {
             self.tracer.emit_with(|| TraceEvent::DsmInvalidate {
                 at,
@@ -1457,9 +1433,10 @@ impl Dsm {
         });
         // Reset the slot; the generation bump ensures stale log entries
         // can never be mistaken for current after a re-allocation.
-        self.pt.set_owner(idx, ABSENT);
-        self.pt.set_busy_until(idx, SimTime::ZERO);
-        self.pt.bump_gen(idx);
+        let (c, i) = (self.pt.chunk_mut(idx), idx & (CHUNK - 1));
+        c.owner[i] = ABSENT;
+        c.busy_until[i] = SimTime::ZERO;
+        c.gen[i] += 1;
         self.pt.live -= 1;
         self.stats.releases += 1;
         Some(class)
@@ -1526,12 +1503,14 @@ impl Dsm {
                         self.nodes[holder as usize].cached -= 1;
                     }
                 }
-                let had_copy = self.pt.sharers(idx).contains(restore_home.0);
-                self.pt.set_owner(idx, restore_home.0);
-                self.pt.set_mode(idx, Mode::Exclusive);
-                self.pt.set_sharers(idx, NodeSet::singleton(restore_home.0));
-                self.pt.set_epoch(idx, self.cluster_epoch);
-                let stamp = self.pt.bump_gen(idx);
+                let (c, i) = (self.pt.chunk_mut(idx), idx & (CHUNK - 1));
+                let had_copy = c.sharers[i].contains(restore_home.0);
+                c.owner[i] = restore_home.0;
+                c.mode[i] = Mode::Exclusive;
+                c.sharers[i] = NodeSet::singleton(restore_home.0);
+                c.epoch[i] = self.cluster_epoch;
+                c.gen[i] += 1;
+                let stamp = c.gen[i];
                 let nh = &mut self.nodes[restore_home.index()];
                 nh.owned += 1;
                 if !had_copy {
@@ -1723,12 +1702,25 @@ impl Dsm {
         self.verify_indices()
     }
 
+    /// Entries in `node`'s page log, stale ones and duplicates included.
+    /// For tests of log compaction.
+    #[doc(hidden)]
+    pub fn log_len(&self, node: NodeId) -> usize {
+        self.nodes.get(node.index()).map_or(0, |n| n.log.len())
+    }
+
     /// Rebuilds the per-node accounting from a fresh O(directory) scan and
     /// compares it with the incrementally-maintained counters, then checks
     /// the log-coverage invariant (every page a node holds appears in its
-    /// log, and no log entry carries a stamp from the future). O(pages x
-    /// sharers) — for tests and debug assertions, never the hot path.
+    /// log, and no log entry carries a stamp from the future) and that no
+    /// compaction mark is left set. O(pages x sharers) — for tests and
+    /// debug assertions, never the hot path.
     pub fn verify_indices(&self) -> Result<(), String> {
+        let marked =
+            |c: &Option<Box<Chunk>>| c.as_ref().is_some_and(|c| c.marks.iter().any(|&w| w != 0));
+        if let Some(ci) = self.pt.chunks.iter().position(marked) {
+            return Err(format!("chunk {ci}: compaction mark left set"));
+        }
         let mut owned = vec![0u64; self.nodes.len()];
         let mut cached = vec![0u64; self.nodes.len()];
         let logged: Vec<BTreeSet<PageId>> = self
@@ -2252,7 +2244,7 @@ mod tests {
         let mut seq_hits = 0u64;
         let mut seq_faults = Vec::new();
         for i in 0..48 {
-            match seq.access_classified(n(1), p(i), access, PageClass::KernelData) {
+            match seq.access_classified(n(1), p(i), access, PageClass::KernelData, None) {
                 Resolution::Hit => seq_hits += 1,
                 Resolution::Fault(f) => seq_faults.push(f),
                 Resolution::Rejected => panic!("nothing is fenced here"),
@@ -2290,7 +2282,7 @@ mod tests {
         let mut bat = dsm();
         for i in 0..16 {
             seq.ensure_page(p(i), n(0), PageClass::Private);
-            match seq.access_classified(n(1), p(i), Access::Read, PageClass::Private) {
+            match seq.access_classified(n(1), p(i), Access::Read, PageClass::Private, None) {
                 Resolution::Fault(_) => {}
                 r => panic!("remote read must fault, got {r:?}"),
             }

@@ -253,3 +253,40 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random access sequences long enough to push the page logs past the
+    /// compaction threshold again and again. Right after each compaction
+    /// the node's log holds every page the node shares exactly once: it
+    /// has one entry per cached page, and `verify_indices` finds each of
+    /// them in it (it also checks that the pass left no mark bit set).
+    #[test]
+    fn compacted_logs_hold_each_shared_page_once(
+        ops in proptest::collection::vec((0..NODES, 0u32..64, any::<bool>()), 800..1600),
+        prefetch in 0u32..3,
+    ) {
+        let mut d = Dsm::new(DsmConfig {
+            page_size: sim_core::units::ByteSize::kib(4),
+            contextual: false,
+            dirty_bit_tracking: false,
+            read_prefetch: prefetch,
+        });
+        let mut compactions = 0;
+        for (node, page, write) in ops {
+            let n = NodeId::new(node);
+            let before = d.log_len(n);
+            let access = if write { Access::Write } else { Access::Read };
+            let _ = d.access(n, PageId::new(page), access);
+            // Only compaction shrinks a log; an access appends to it.
+            if d.log_len(n) < before {
+                compactions += 1;
+                prop_assert_eq!(d.log_len(n) as u64, d.pages_cached_on(n));
+                prop_assert!(d.verify_indices().is_ok(), "{:?}", d.verify_indices());
+            }
+        }
+        prop_assert!(compactions > 0, "no compaction ran");
+        prop_assert!(d.check_invariants().is_ok(), "{:?}", d.check_invariants());
+    }
+}

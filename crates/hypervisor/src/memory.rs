@@ -257,19 +257,21 @@ impl VmMemory {
                 t += self.fault_handler_cpu + INSTALL_COST;
             }
         }
-        if !self.dsm.contains(page) {
-            let home = guest::alloc_home(self.guest_config, node, self.bootstrap);
-            self.dsm.ensure_page(page, home, PageClass::Private);
-            // A non-local first touch immediately faults below.
-        }
-        let done = match self.dsm.access(node, page, access) {
-            Resolution::Hit => t,
-            Resolution::Fault(plan) => self.execute_fault(t, node, &plan, fabric),
-            // The node was fenced between the check above and the access
-            // (impossible today — fencing happens between events — but
-            // harmless to handle the same way).
-            Resolution::Rejected => t + DEAD_STALL,
-        };
+        // An unknown page is allocated per the NUMA policy; a non-local
+        // first touch then faults like any other access.
+        let home = guest::alloc_home(self.guest_config, node, self.bootstrap);
+        let done =
+            match self
+                .dsm
+                .access_classified(node, page, access, PageClass::Private, Some(home))
+            {
+                Resolution::Hit => t,
+                Resolution::Fault(plan) => self.execute_fault(t, node, &plan, fabric),
+                // The node was fenced between the check above and the access
+                // (impossible today — fencing happens between events — but
+                // harmless to handle the same way).
+                Resolution::Rejected => t + DEAD_STALL,
+            };
         self.sample_pressure(done, node, fabric)
     }
 

@@ -211,13 +211,10 @@ impl VmWorld {
                 }
                 let arrived = self.barriers.remove(&id).expect("just entered").arrived;
                 for w in arrived.into_iter().filter(|&w| w != vcpu.0) {
-                    // A party whose slice crashed mid-wait was restored
-                    // past the barrier and is not woken again.
+                    // Every other party is still waiting, a crashed one
+                    // in its `resume_status`.
                     let woke = self.wake(ctx, VcpuId::new(w), Wait::Barrier, Resume::Queued);
-                    debug_assert!(
-                        woke || self.crashed.iter().any(Option::is_some),
-                        "barrier party vCPU{w} was not waiting"
-                    );
+                    debug_assert!(woke, "barrier party vCPU{w} was not waiting");
                 }
                 true
             }
@@ -353,10 +350,10 @@ impl VmWorld {
     /// handing it the next message when `by` is a delivery. Returns false
     /// (and changes nothing) when it is not waiting for `by`.
     ///
-    /// This is the only place a wakeup meets a migration: a vCPU in flight
-    /// is woken in its `resume_status`, and `migration_done` replays the
-    /// missed step when it lands. Otherwise the vCPU becomes ready and
-    /// steps as `resume` says.
+    /// This is the only place a wakeup meets a migration or a crash: a
+    /// vCPU in flight or `Failed` is woken in its `resume_status`, and
+    /// `migration_done` or `vcpu_restore` replays the step. Otherwise the
+    /// vCPU becomes ready and steps as `resume` says.
     pub(super) fn wake(
         &mut self,
         ctx: &mut Ctx<'_, Event>,
@@ -365,17 +362,17 @@ impl VmWorld {
         resume: Resume,
     ) -> bool {
         let v = &mut self.vcpus[vcpu.index()];
-        let migrating = v.status == VcpuStatus::Migrating;
-        let waiting = if migrating { v.resume_status } else { v.status };
+        let away = matches!(v.status, VcpuStatus::Migrating | VcpuStatus::Failed);
+        let waiting = if away { v.resume_status } else { v.status };
         if !matches!(waiting, VcpuStatus::Blocked(w) if by.ends(w)) {
             return false;
         }
         if let Wait::Recv(inbox) = by {
             v.hand_off(inbox);
         }
-        if migrating {
+        if away {
             v.resume_status = VcpuStatus::Ready;
-            v.missed_step = true;
+            v.missed_step = v.status == VcpuStatus::Migrating;
             return true;
         }
         v.status = VcpuStatus::Ready;
@@ -397,9 +394,8 @@ impl VmWorld {
         got
     }
 
-    /// Queues `msg` in `vcpu`'s `inbox` and wakes a receiver blocked on it.
-    /// A crashed receiver only queues it: its program state comes back
-    /// with the checkpoint restore.
+    /// Queues `msg` in `vcpu`'s `inbox` and wakes a receiver blocked on it,
+    /// a crashed one included (it takes the message when restored).
     pub(super) fn deliver(
         &mut self,
         ctx: &mut Ctx<'_, Event>,

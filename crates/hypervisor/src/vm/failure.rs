@@ -102,8 +102,10 @@ impl VmWorld {
             self.vcpus[i].stashed_work = Some(rem);
             self.reschedule_cpu(ctx, slot);
         }
-        // Every live vCPU on the slice halts. Migrating vCPUs survive:
-        // their register state already left with the dump.
+        // Every live vCPU on the slice halts, a blocked one keeping its
+        // wait for the restore (as `resume_status` does across a
+        // migration). Migrating vCPUs survive: their register state
+        // already left with the dump.
         for v in self.vcpus.iter_mut() {
             if v.node == node
                 && !matches!(
@@ -111,6 +113,10 @@ impl VmWorld {
                     VcpuStatus::Done | VcpuStatus::Migrating | VcpuStatus::Failed
                 )
             {
+                v.resume_status = match v.status {
+                    VcpuStatus::Blocked(w) => VcpuStatus::Blocked(w),
+                    _ => VcpuStatus::Ready,
+                };
                 v.status = VcpuStatus::Failed;
                 if self.failure.is_none() {
                     self.terminal_vcpus += 1;
@@ -290,7 +296,9 @@ impl VmWorld {
     }
 
     /// A restored vCPU resumes on the recovery node, re-executing the
-    /// burst that was in flight at the crash.
+    /// burst that was in flight at the crash. A vCPU that crashed while
+    /// blocked re-enters its wait: if the wake already landed (`wake`
+    /// keeps it in `resume_status`) it steps, otherwise it blocks again.
     pub(super) fn vcpu_restore(&mut self, ctx: &mut Ctx<'_, Event>, vcpu: VcpuId) {
         let v = &mut self.vcpus[vcpu.index()];
         if v.status != VcpuStatus::Failed {
@@ -308,7 +316,7 @@ impl VmWorld {
             let after = v.after_cpu;
             self.begin_compute(ctx, vcpu, rem, after);
         } else {
-            v.status = VcpuStatus::Ready;
+            v.status = std::mem::replace(&mut v.resume_status, VcpuStatus::Ready);
             self.step_vcpu(ctx, vcpu);
         }
     }

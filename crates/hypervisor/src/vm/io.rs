@@ -257,15 +257,15 @@ impl VmWorld {
         guest_touches: Vec<PageTouch>,
     ) {
         self.release_queue(is_net, queue);
-        // The submitter's slice died since submission: the interrupt is
-        // discarded (the vCPU restarts from its checkpoint).
-        if self.vcpus[vcpu.index()].status == VcpuStatus::Failed {
-            return;
+        // A crashed submitter's slice touches nothing, but its wake is
+        // kept for the restore.
+        let v = &self.vcpus[vcpu.index()];
+        if v.status != VcpuStatus::Failed {
+            let node = v.node;
+            let _ =
+                self.mem
+                    .access_batch(ctx.now, node, &touches_of(&guest_touches), &mut self.fabric);
         }
-        let node = self.vcpus[vcpu.index()].node;
-        let _ = self
-            .mem
-            .access_batch(ctx.now, node, &touches_of(&guest_touches), &mut self.fabric);
         // Block-I/O submitters wait synchronously; wake them.
         if !is_net {
             self.wake(ctx, vcpu, Wait::Io, Resume::Queued);

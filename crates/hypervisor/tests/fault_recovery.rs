@@ -448,13 +448,69 @@ fn restore_target_crash_mid_restore_falls_back_to_spare() {
     assert!(violations.is_empty(), "audit violations: {violations:?}");
 }
 
+/// Receives one guest-local message, records its tag with `Observe`
+/// (0 when the receive returned without a message), then computes 1 ms.
+struct RecvOnce(u8);
+
+impl hypervisor::program::Program for RecvOnce {
+    fn next(&mut self, cx: &mut hypervisor::program::ProgCtx<'_>) -> hypervisor::program::Op {
+        use hypervisor::program::{GuestMsg, Op};
+        self.0 += 1;
+        match self.0 {
+            1 => Op::LocalRecv,
+            2 => Op::Observe {
+                value_ns: match cx.delivered {
+                    Some(GuestMsg::Local { tag, .. }) => tag,
+                    _ => 0,
+                },
+            },
+            3 => Op::Compute(ms(1)),
+            _ => Op::Done,
+        }
+    }
+}
+
 #[test]
-fn barrier_party_restored_after_a_crash_is_not_woken_again() {
+fn receiver_crashed_mid_wait_takes_the_later_message() {
+    use hypervisor::program::{Op, Scripted};
+    // vCPU1 blocks in `LocalRecv` on node 2, which crashes at 5 ms; it is
+    // restored to node 1 still waiting. vCPU0's message, sent at 20 ms,
+    // must be the one its receive returns, and it finishes after that.
+    let mut cfg = detector();
+    cfg.restore_to = NodeId::new(1);
+    let mut sim = VmBuilder::new(HypervisorProfile::fragvisor(), 3)
+        .with_fault_plan(FaultPlan::scripted(7).crash(2, ms(5)))
+        .with_failure_detector(cfg)
+        .vcpu(
+            Placement::new(0, 0),
+            Box::new(Scripted::new([
+                Op::Compute(ms(20)),
+                Op::LocalSend {
+                    to: VcpuId::new(1),
+                    tag: 42,
+                    bytes: 64,
+                },
+            ])),
+        )
+        .vcpu(Placement::new(2, 0), Box::new(RecvOnce(0)))
+        .build();
+    let done = sim.run();
+    assert_eq!(
+        sim.world.stats.samples[1],
+        [42],
+        "the receive took no message"
+    );
+    let finish = sim.world.stats.vcpu_finish[1].expect("receiver finished");
+    assert!(finish > ms(21), "{finish:?}");
+    assert_eq!(done, finish);
+}
+
+#[test]
+fn barrier_party_crashed_mid_wait_is_restored_into_the_barrier() {
     use hypervisor::program::{Op, Scripted};
     // vCPU1 waits at the barrier when its node crashes at 5 ms; recovery
-    // restores it past the barrier and it finishes long before vCPU0
-    // arrives at 20 ms. The release must leave the finished vCPU alone,
-    // so vCPU0 still runs its last millisecond.
+    // restores it to node 1 still waiting. It passes only when vCPU0
+    // arrives at 20 ms, so both run their last millisecond after that.
     let mut cfg = detector();
     cfg.restore_to = NodeId::new(1);
     let barrier = Op::Barrier { id: 1, parties: 2 };
@@ -475,9 +531,7 @@ fn barrier_party_restored_after_a_crash_is_not_woken_again() {
         )
         .build();
     assert_eq!(sim.run(), ms(21));
-    let finish = &sim.world.stats.vcpu_finish;
-    assert_eq!(finish[0], Some(ms(21)));
-    assert!(finish[1].is_some_and(|t| t < ms(20)), "{finish:?}");
+    assert_eq!(sim.world.stats.vcpu_finish, [Some(ms(21)), Some(ms(21))]);
 }
 
 proptest! {

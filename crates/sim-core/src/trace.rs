@@ -490,6 +490,20 @@ pub enum TraceEvent {
     },
 }
 
+/// `{"ev":"<name>"` as one literal, for `Json::open`.
+macro_rules! ev {
+    ($name:literal) => {
+        concat!("{\"ev\":\"", $name, "\"")
+    };
+}
+
+/// `,"<key>":` as one literal, for the `Json` field writers.
+macro_rules! key {
+    ($key:literal) => {
+        concat!(",\"", $key, "\":")
+    };
+}
+
 impl TraceEvent {
     /// The event's time field (ns). DSM events report their clock hint.
     pub fn at(&self) -> u64 {
@@ -553,71 +567,71 @@ impl TraceEvent {
     pub fn write_json(&self, out: &mut String) {
         use TraceEvent::*;
         match *self {
-            DsmAlloc { at, page, home } => Json::open(out, "dsm_alloc")
-                .num("at", at)
-                .num("page", page)
-                .num("home", home),
+            DsmAlloc { at, page, home } => Json::open(out, ev!("dsm_alloc"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("home"), home),
             DsmHit {
                 at,
                 page,
                 node,
                 write,
-            } => Json::open(out, "dsm_hit")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node)
-                .flag("write", write),
+            } => Json::open(out, ev!("dsm_hit"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node)
+                .flag(key!("write"), write),
             DsmHitBatch {
                 at,
                 page,
                 len,
                 node,
                 write,
-            } => Json::open(out, "dsm_hit_batch")
-                .num("at", at)
-                .num("page", page)
-                .num("len", len)
-                .num("node", node)
-                .flag("write", write),
+            } => Json::open(out, ev!("dsm_hit_batch"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("len"), len)
+                .num(key!("node"), node)
+                .flag(key!("write"), write),
             DsmFault {
                 at,
                 page,
                 node,
                 kind,
-            } => Json::open(out, "dsm_fault")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node)
-                .label("kind", kind),
-            DsmInvalidate { at, page, node } => Json::open(out, "dsm_invalidate")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node),
-            DsmOwnerTransfer { at, page, from, to } => Json::open(out, "dsm_owner_transfer")
-                .num("at", at)
-                .num("page", page)
-                .num("from", from)
-                .num("to", to),
+            } => Json::open(out, ev!("dsm_fault"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node)
+                .label(key!("kind"), kind),
+            DsmInvalidate { at, page, node } => Json::open(out, ev!("dsm_invalidate"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node),
+            DsmOwnerTransfer { at, page, from, to } => Json::open(out, ev!("dsm_owner_transfer"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("from"), from)
+                .num(key!("to"), to),
             DsmGrant {
                 at,
                 page,
                 node,
                 exclusive,
-            } => Json::open(out, "dsm_grant")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node)
-                .flag("exclusive", exclusive),
+            } => Json::open(out, ev!("dsm_grant"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node)
+                .flag(key!("exclusive"), exclusive),
             DsmPrefetch {
                 at,
                 page,
                 node,
                 owner,
-            } => Json::open(out, "dsm_prefetch")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node)
-                .num("owner", owner),
+            } => Json::open(out, ev!("dsm_prefetch"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node)
+                .num(key!("owner"), owner),
             FabricSend {
                 at,
                 src,
@@ -629,30 +643,30 @@ impl TraceEvent {
                 serialize_ns,
                 bound_ns,
                 deliver_at,
-            } => Json::open(out, "fabric_send")
-                .num("at", at)
-                .num("src", src)
-                .num("dst", dst)
-                .label("class", class)
-                .flag("prio", prio)
-                .num("bytes", bytes)
-                .num("queued_ns", queued_ns)
-                .num("serialize_ns", serialize_ns)
-                .num("bound_ns", bound_ns)
-                .num("deliver_at", deliver_at),
-            FabricLinkReset { src, dst } => Json::open(out, "fabric_link_reset")
-                .num("src", src)
-                .num("dst", dst),
+            } => Json::open(out, ev!("fabric_send"))
+                .num(key!("at"), at)
+                .num(key!("src"), src)
+                .num(key!("dst"), dst)
+                .label(key!("class"), class)
+                .flag(key!("prio"), prio)
+                .num(key!("bytes"), bytes)
+                .num(key!("queued_ns"), queued_ns)
+                .num(key!("serialize_ns"), serialize_ns)
+                .num(key!("bound_ns"), bound_ns)
+                .num(key!("deliver_at"), deliver_at),
+            FabricLinkReset { src, dst } => Json::open(out, ev!("fabric_link_reset"))
+                .num(key!("src"), src)
+                .num(key!("dst"), dst),
             CpuAdd {
                 at,
                 cpu,
                 task,
                 work_ns,
-            } => Json::open(out, "cpu_add")
-                .num("at", at)
-                .num("cpu", cpu)
-                .num("task", task)
-                .num("work_ns", work_ns),
+            } => Json::open(out, ev!("cpu_add"))
+                .num(key!("at"), at)
+                .num(key!("cpu"), cpu)
+                .num(key!("task"), task)
+                .num(key!("work_ns"), work_ns),
             CpuCancel {
                 at,
                 cpu,
@@ -661,14 +675,14 @@ impl TraceEvent {
                 delivered_ns,
                 busy_ns,
                 speed,
-            } => Json::open(out, "cpu_cancel")
-                .num("at", at)
-                .num("cpu", cpu)
-                .num("task", task)
-                .num("rem_ns", rem_ns)
-                .num("delivered_ns", delivered_ns)
-                .num("busy_ns", busy_ns)
-                .speed("speed", speed),
+            } => Json::open(out, ev!("cpu_cancel"))
+                .num(key!("at"), at)
+                .num(key!("cpu"), cpu)
+                .num(key!("task"), task)
+                .num(key!("rem_ns"), rem_ns)
+                .num(key!("delivered_ns"), delivered_ns)
+                .num(key!("busy_ns"), busy_ns)
+                .speed(key!("speed"), speed),
             CpuDone {
                 at,
                 cpu,
@@ -676,51 +690,51 @@ impl TraceEvent {
                 delivered_ns,
                 busy_ns,
                 speed,
-            } => Json::open(out, "cpu_done")
-                .num("at", at)
-                .num("cpu", cpu)
-                .num("task", task)
-                .num("delivered_ns", delivered_ns)
-                .num("busy_ns", busy_ns)
-                .speed("speed", speed),
+            } => Json::open(out, ev!("cpu_done"))
+                .num(key!("at"), at)
+                .num(key!("cpu"), cpu)
+                .num(key!("task"), task)
+                .num(key!("delivered_ns"), delivered_ns)
+                .num(key!("busy_ns"), busy_ns)
+                .speed(key!("speed"), speed),
             VcpuMigrateStart {
                 at,
                 vcpu,
                 from_node,
                 to_node,
-            } => Json::open(out, "vcpu_migrate_start")
-                .num("at", at)
-                .num("vcpu", vcpu)
-                .num("from_node", from_node)
-                .num("to_node", to_node),
-            VcpuMigrateDone { at, vcpu, node } => Json::open(out, "vcpu_migrate_done")
-                .num("at", at)
-                .num("vcpu", vcpu)
-                .num("node", node),
+            } => Json::open(out, ev!("vcpu_migrate_start"))
+                .num(key!("at"), at)
+                .num(key!("vcpu"), vcpu)
+                .num(key!("from_node"), from_node)
+                .num(key!("to_node"), to_node),
+            VcpuMigrateDone { at, vcpu, node } => Json::open(out, ev!("vcpu_migrate_done"))
+                .num(key!("at"), at)
+                .num(key!("vcpu"), vcpu)
+                .num(key!("node"), node),
             Ipi {
                 at,
                 src_node,
                 to_vcpu,
                 kind,
-            } => Json::open(out, "ipi")
-                .num("at", at)
-                .num("src_node", src_node)
-                .num("to_vcpu", to_vcpu)
-                .label("kind", kind),
-            Checkpoint { at, node, bytes } => Json::open(out, "checkpoint")
-                .num("at", at)
-                .num("node", node)
-                .num("bytes", bytes),
+            } => Json::open(out, ev!("ipi"))
+                .num(key!("at"), at)
+                .num(key!("src_node"), src_node)
+                .num(key!("to_vcpu"), to_vcpu)
+                .label(key!("kind"), kind),
+            Checkpoint { at, node, bytes } => Json::open(out, ev!("checkpoint"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("bytes"), bytes),
             FabricDrop {
                 at,
                 src,
                 dst,
                 class,
-            } => Json::open(out, "fabric_drop")
-                .num("at", at)
-                .num("src", src)
-                .num("dst", dst)
-                .label("class", class),
+            } => Json::open(out, ev!("fabric_drop"))
+                .num(key!("at"), at)
+                .num(key!("src"), src)
+                .num(key!("dst"), dst)
+                .label(key!("class"), class),
             FabricRetry {
                 at,
                 src,
@@ -729,133 +743,133 @@ impl TraceEvent {
                 attempt,
                 max_attempts,
                 backoff_ns,
-            } => Json::open(out, "fabric_retry")
-                .num("at", at)
-                .num("src", src)
-                .num("dst", dst)
-                .label("class", class)
-                .num("attempt", attempt)
-                .num("max_attempts", max_attempts)
-                .num("backoff_ns", backoff_ns),
+            } => Json::open(out, ev!("fabric_retry"))
+                .num(key!("at"), at)
+                .num(key!("src"), src)
+                .num(key!("dst"), dst)
+                .label(key!("class"), class)
+                .num(key!("attempt"), attempt)
+                .num(key!("max_attempts"), max_attempts)
+                .num(key!("backoff_ns"), backoff_ns),
             LinkDegrade {
                 at,
                 src,
                 dst,
                 loss_ppm,
                 extra_ns,
-            } => Json::open(out, "link_degrade")
-                .num("at", at)
-                .num("src", src)
-                .num("dst", dst)
-                .num("loss_ppm", loss_ppm)
-                .num("extra_ns", extra_ns),
-            NodeCrash { at, node } => Json::open(out, "node_crash")
-                .num("at", at)
-                .num("node", node),
-            HeartbeatMiss { at, node, misses } => Json::open(out, "heartbeat_miss")
-                .num("at", at)
-                .num("node", node)
-                .num("misses", misses),
-            NodeDeclaredDead { at, node, misses } => Json::open(out, "node_declared_dead")
-                .num("at", at)
-                .num("node", node)
-                .num("misses", misses),
-            PageQuarantine { at, page, dead, to } => Json::open(out, "page_quarantine")
-                .num("at", at)
-                .num("page", page)
-                .num("dead", dead)
-                .num("to", to),
+            } => Json::open(out, ev!("link_degrade"))
+                .num(key!("at"), at)
+                .num(key!("src"), src)
+                .num(key!("dst"), dst)
+                .num(key!("loss_ppm"), loss_ppm)
+                .num(key!("extra_ns"), extra_ns),
+            NodeCrash { at, node } => Json::open(out, ev!("node_crash"))
+                .num(key!("at"), at)
+                .num(key!("node"), node),
+            HeartbeatMiss { at, node, misses } => Json::open(out, ev!("heartbeat_miss"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("misses"), misses),
+            NodeDeclaredDead { at, node, misses } => Json::open(out, ev!("node_declared_dead"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("misses"), misses),
+            PageQuarantine { at, page, dead, to } => Json::open(out, ev!("page_quarantine"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("dead"), dead)
+                .num(key!("to"), to),
             NodeRestore {
                 at,
                 node,
                 pages,
                 restore_ns,
-            } => Json::open(out, "node_restore")
-                .num("at", at)
-                .num("node", node)
-                .num("pages", pages)
-                .num("restore_ns", restore_ns),
+            } => Json::open(out, ev!("node_restore"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("pages"), pages)
+                .num(key!("restore_ns"), restore_ns),
             VcpuMigrateRefused {
                 at,
                 vcpu,
                 from_node,
                 to_node,
-            } => Json::open(out, "vcpu_migrate_refused")
-                .num("at", at)
-                .num("vcpu", vcpu)
-                .num("from_node", from_node)
-                .num("to_node", to_node),
+            } => Json::open(out, ev!("vcpu_migrate_refused"))
+                .num(key!("at"), at)
+                .num(key!("vcpu"), vcpu)
+                .num(key!("from_node"), from_node)
+                .num(key!("to_node"), to_node),
             PressureChange {
                 at,
                 node,
                 level,
                 resident,
                 budget,
-            } => Json::open(out, "pressure_change")
-                .num("at", at)
-                .num("node", node)
-                .label("level", level)
-                .num("resident", resident)
-                .num("budget", budget),
-            PageEvict { at, page, from, to } => Json::open(out, "page_evict")
-                .num("at", at)
-                .num("page", page)
-                .num("from", from)
-                .num("to", to),
+            } => Json::open(out, ev!("pressure_change"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .label(key!("level"), level)
+                .num(key!("resident"), resident)
+                .num(key!("budget"), budget),
+            PageEvict { at, page, from, to } => Json::open(out, ev!("page_evict"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("from"), from)
+                .num(key!("to"), to),
             PageRelease {
                 at,
                 page,
                 node,
                 policy,
-            } => Json::open(out, "page_release")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node)
-                .label("policy", policy),
-            PageSwapOut { at, page, node } => Json::open(out, "page_swap_out")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node),
-            PageSwapIn { at, page, node } => Json::open(out, "page_swap_in")
-                .num("at", at)
-                .num("page", page)
-                .num("node", node),
-            BalloonInflate { at, node, pages } => Json::open(out, "balloon_inflate")
-                .num("at", at)
-                .num("node", node)
-                .num("pages", pages),
-            PartitionStart { at, node } => Json::open(out, "partition_start")
-                .num("at", at)
-                .num("node", node),
-            PartitionHeal { at, node } => Json::open(out, "partition_heal")
-                .num("at", at)
-                .num("node", node),
-            EpochBump { at, epoch, dead } => Json::open(out, "epoch_bump")
-                .num("at", at)
-                .num("epoch", epoch)
-                .num("dead", dead),
+            } => Json::open(out, ev!("page_release"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node)
+                .label(key!("policy"), policy),
+            PageSwapOut { at, page, node } => Json::open(out, ev!("page_swap_out"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node),
+            PageSwapIn { at, page, node } => Json::open(out, ev!("page_swap_in"))
+                .num(key!("at"), at)
+                .num(key!("page"), page)
+                .num(key!("node"), node),
+            BalloonInflate { at, node, pages } => Json::open(out, ev!("balloon_inflate"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("pages"), pages),
+            PartitionStart { at, node } => Json::open(out, ev!("partition_start"))
+                .num(key!("at"), at)
+                .num(key!("node"), node),
+            PartitionHeal { at, node } => Json::open(out, ev!("partition_heal"))
+                .num(key!("at"), at)
+                .num(key!("node"), node),
+            EpochBump { at, epoch, dead } => Json::open(out, ev!("epoch_bump"))
+                .num(key!("at"), at)
+                .num(key!("epoch"), epoch)
+                .num(key!("dead"), dead),
             StaleEpochRejected {
                 at,
                 node,
                 page,
                 node_epoch,
                 cluster_epoch,
-            } => Json::open(out, "stale_epoch_rejected")
-                .num("at", at)
-                .num("node", node)
-                .num("page", page)
-                .num("node_epoch", node_epoch)
-                .num("cluster_epoch", cluster_epoch),
+            } => Json::open(out, ev!("stale_epoch_rejected"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("page"), page)
+                .num(key!("node_epoch"), node_epoch)
+                .num(key!("cluster_epoch"), cluster_epoch),
             NodeRejoin {
                 at,
                 node,
                 epoch,
                 discarded,
-            } => Json::open(out, "node_rejoin")
-                .num("at", at)
-                .num("node", node)
-                .num("epoch", epoch)
-                .num("discarded", discarded),
+            } => Json::open(out, ev!("node_rejoin"))
+                .num(key!("at"), at)
+                .num(key!("node"), node)
+                .num(key!("epoch"), epoch)
+                .num(key!("discarded"), discarded),
             FleetDeliver {
                 at,
                 src_shard,
@@ -864,64 +878,55 @@ impl TraceEvent {
                 dst,
                 depart,
                 bytes,
-            } => Json::open(out, "fleet_deliver")
-                .num("at", at)
-                .num("src_shard", src_shard)
-                .num("dst_shard", dst_shard)
-                .num("src", src)
-                .num("dst", dst)
-                .num("depart", depart)
-                .num("bytes", bytes),
+            } => Json::open(out, ev!("fleet_deliver"))
+                .num(key!("at"), at)
+                .num(key!("src_shard"), src_shard)
+                .num(key!("dst_shard"), dst_shard)
+                .num(key!("src"), src)
+                .num(key!("dst"), dst)
+                .num(key!("depart"), depart)
+                .num(key!("bytes"), bytes),
         }
         .close();
     }
 }
 
-/// Writes one flat JSON object field by field: `{"ev":"<name>"`, then
-/// `,"<key>":<value>` per field, then `}` on [`Json::close`].
+/// Writes one flat JSON object field by field: the `ev!` head, then
+/// the `key!` literal and value per field, then `}` on [`Json::close`].
 struct Json<'a>(&'a mut String);
 
 impl<'a> Json<'a> {
-    fn open(out: &'a mut String, ev: &str) -> Self {
-        out.push_str(r#"{"ev":""#);
-        out.push_str(ev);
-        out.push('"');
+    fn open(out: &'a mut String, head: &str) -> Self {
+        out.push_str(head);
         Json(out)
     }
 
-    fn key(self, key: &str) -> Self {
-        self.0.push_str(",\"");
+    fn num(self, key: &str, v: impl Into<u64>) -> Self {
         self.0.push_str(key);
-        self.0.push_str("\":");
+        push_u64(self.0, v.into());
         self
     }
 
-    fn num(self, key: &str, v: impl Into<u64>) -> Self {
-        let j = self.key(key);
-        push_u64(j.0, v.into());
-        j
-    }
-
     fn flag(self, key: &str, v: bool) -> Self {
-        let j = self.key(key);
-        j.0.push_str(if v { "true" } else { "false" });
-        j
+        self.0.push_str(key);
+        self.0.push_str(if v { "true" } else { "false" });
+        self
     }
 
     fn label(self, key: &str, v: &str) -> Self {
-        let j = self.key(key);
-        j.0.push('"');
-        j.0.push_str(v);
-        j.0.push('"');
-        j
+        self.0.push_str(key);
+        self.0.push('"');
+        self.0.push_str(v);
+        self.0.push('"');
+        self
     }
 
     fn speed(self, key: &str, v: f64) -> Self {
         use std::fmt::Write as _;
-        let j = self.key(key);
+        self.0.push_str(key);
         // Writing into a `String` cannot fail.
-        let _ = write!(j.0, "{v}");
-        j
+        let _ = write!(self.0, "{v}");
+        self
     }
 
     fn close(self) {
@@ -929,7 +934,7 @@ impl<'a> Json<'a> {
     }
 }
 
-/// Appends `v` in decimal, two digits per division.
+/// Appends `v` in decimal, two digits per division, in one `extend`.
 fn push_u64(out: &mut String, mut v: u64) {
     const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
                                 2021222324252627282930313233343536373839\
@@ -952,9 +957,7 @@ fn push_u64(out: &mut String, mut v: u64) {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
-    for &b in &buf[i..] {
-        out.push(char::from(b));
-    }
+    out.extend(buf[i..].iter().map(|&b| char::from(b)));
 }
 
 /// Bytes [`Tracer::to_jsonl`] reserves per buffered event: above the
