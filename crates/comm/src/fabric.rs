@@ -164,7 +164,7 @@ impl Message {
 /// `Dropped` is transient (a lossy-link verdict on a single attempt —
 /// retrying later may succeed); `Timeout` is terminal for this submission
 /// (a crashed endpoint, or a priority-class retry chain exhausting its
-/// [`RetryPolicy`]).
+/// bounded retries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricError {
     /// An endpoint does not name a node in this fabric.
@@ -213,45 +213,22 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// Ack + bounded-retry policy for priority-class messages under an active
-/// fault plan.
+/// Ack + bounded retry for priority-class messages under an active fault
+/// plan.
 ///
 /// When a fault plan is injected, Interrupt/Control-class (and
 /// [`Urgency::Critical`]) messages are acknowledged end-to-end: a dropped
-/// attempt is retried after an exponential backoff, up to `max_attempts`
-/// retries, each emitting a [`TraceEvent::FabricRetry`]. The ack itself is
-/// modeled as free (piggybacked); its loss is folded into the link's loss
-/// probability. Bulk classes are never retried by the fabric — their
-/// callers own the recovery story.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the initial attempt.
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: SimTime,
-    /// Backoff growth factor per retry (exponential).
-    pub multiplier: u32,
-}
+/// attempt is retried after an exponential backoff (`RETRY_BACKOFF`,
+/// doubling per retry), up to `MAX_RETRIES` retries, each emitting a
+/// [`TraceEvent::FabricRetry`] — worst case ~300 µs of waiting before a
+/// priority send is declared timed out. The ack itself is modeled as free
+/// (piggybacked); its loss is folded into the link's loss probability.
+/// Bulk classes are never retried by the fabric — their callers own the
+/// recovery story.
+const MAX_RETRIES: u32 = 4;
 
-impl RetryPolicy {
-    /// The backoff waited before 1-based retry `attempt`.
-    pub fn backoff(&self, attempt: u32) -> SimTime {
-        let factor = u64::from(self.multiplier.max(1)).saturating_pow(attempt.saturating_sub(1));
-        SimTime::from_nanos(self.base_backoff.as_nanos().saturating_mul(factor))
-    }
-}
-
-impl Default for RetryPolicy {
-    /// 4 retries, 20 µs base backoff, doubling: worst case ~300 µs of
-    /// waiting before a priority send is declared timed out.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimTime::from_micros(20),
-            multiplier: 2,
-        }
-    }
-}
+/// Backoff before the first retry; each later retry waits twice as long.
+const RETRY_BACKOFF: SimTime = SimTime::from_micros(20);
 
 /// Link scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -352,9 +329,7 @@ pub struct Fabric {
     /// Boxed: most fabrics run without one, and a fabric is embedded in
     /// every VM.
     injector: Option<Box<FaultInjector>>,
-    retry: RetryPolicy,
     dropped: u64,
-    duplicated: u64,
     retries: u64,
     memo: TransferMemo,
 }
@@ -377,9 +352,7 @@ impl Fabric {
             messages_sent: 0,
             tracer: Tracer::disabled(),
             injector: None,
-            retry: RetryPolicy::default(),
             dropped: 0,
-            duplicated: 0,
             retries: 0,
             memo: TransferMemo::default(),
         }
@@ -419,24 +392,9 @@ impl Fabric {
         self.injector.as_ref().map(|i| i.plan())
     }
 
-    /// Replaces the retry policy for priority-class messages.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Messages lost to the fault plan (including sends to crashed nodes).
     pub fn messages_dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Messages the fault plan delivered twice.
-    pub fn messages_duplicated(&self) -> u64 {
-        self.duplicated
     }
 
     /// Retry attempts made for priority-class messages.
@@ -477,7 +435,7 @@ impl Fabric {
     /// pipelined (it models propagation, not transmitter occupancy).
     ///
     /// With a fault plan injected, priority-tier messages get ack +
-    /// bounded retry per the [`RetryPolicy`]; bulk-class messages surface
+    /// bounded retry (up to `MAX_RETRIES`); bulk-class messages surface
     /// the first loss to the caller. A degradation window's added latency
     /// is charged as extra wire occupancy (link-level retransmission), so
     /// per-(class, tier) FIFO — and the trace auditor's fabric rules —
@@ -518,7 +476,6 @@ impl Fabric {
             return Err(FabricError::Timeout { src, dst, class });
         }
         let retriable = msg.is_priority();
-        let policy = self.retry;
         let mut t = now;
         let mut attempt: u32 = 0;
         loop {
@@ -551,7 +508,6 @@ impl Fabric {
                     // The duplicate charges the link and the stats like a
                     // real second copy; it lands after the original, so
                     // per-class FIFO is preserved.
-                    self.duplicated += 1;
                     let _ = self.transmit(t, msg, verdict.extra_latency);
                 }
                 return Ok(delivery);
@@ -578,10 +534,10 @@ impl Fabric {
                 });
             }
             attempt += 1;
-            if attempt > policy.max_attempts {
+            if attempt > MAX_RETRIES {
                 return Err(FabricError::Timeout { src, dst, class });
             }
-            let backoff = policy.backoff(attempt);
+            let backoff = SimTime::from_nanos(RETRY_BACKOFF.as_nanos() << (attempt - 1));
             t += backoff;
             self.retries += 1;
             self.tracer.emit_with(|| TraceEvent::FabricRetry {
@@ -590,7 +546,7 @@ impl Fabric {
                 dst: dst.0,
                 class: class.label(),
                 attempt,
-                max_attempts: policy.max_attempts,
+                max_attempts: MAX_RETRIES,
                 backoff_ns: backoff.as_nanos(),
             });
         }
@@ -701,7 +657,6 @@ impl Fabric {
         self.meters = [Meter::new(); MsgClass::COUNT];
         self.messages_sent = 0;
         self.dropped = 0;
-        self.duplicated = 0;
         self.retries = 0;
     }
 }

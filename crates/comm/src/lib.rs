@@ -24,9 +24,7 @@ pub mod fabric;
 pub mod profile;
 pub mod staging;
 
-pub use fabric::{
-    Delivery, Fabric, FabricError, Message, MsgClass, RetryPolicy, Scheduling, Urgency,
-};
+pub use fabric::{Delivery, Fabric, FabricError, Message, MsgClass, Scheduling, Urgency};
 pub use profile::{ClassWeights, LinkProfile, StackProfile};
 pub use staging::{merge_windows, min_lookahead, IngressLine, StagedMsg};
 

@@ -123,11 +123,6 @@ impl KernelPages {
         self.vcpus
     }
 
-    /// Whether this is the optimized (padded) layout.
-    pub fn is_optimized(&self) -> bool {
-        self.optimized
-    }
-
     /// The buddy-allocator zone page: truly shared state that both guest
     /// layouts contend on (padding removes false sharing, not the zone
     /// lock itself).

@@ -4,8 +4,8 @@
 //! *borrow* from other nodes instead of shrinking the VM. This module
 //! makes that an experiment rather than an assertion: a [`MemoryPressure`]
 //! model (per-node resident pages vs a configurable budget, sampled on the
-//! DSM fault path) drives a [`MemoryReclaimer`], and four implementations
-//! play out the design space:
+//! DSM fault path) drives a [`ReclaimPolicy`], and its four policies play
+//! out the design space:
 //!
 //! * **Borrow** — evict DSM master copies toward the remote node with the
 //!   most headroom (the Aggregate-VM answer); pages stay resident in the
@@ -22,7 +22,6 @@
 //! exactly the cost the head-to-head study measures.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 use comm::{Fabric, Message, MsgClass, NodeId};
 use dsm::{Dsm, PageClass, PageId};
@@ -40,6 +39,13 @@ const BALLOON_PAGE_COST: SimTime = SimTime::from_nanos(200);
 
 /// Host-side cost per page unmapped by deflation (EPT teardown).
 const DEFLATE_PAGE_COST: SimTime = SimTime::from_nanos(300);
+
+/// Latency to demote one page to the swap tier (a local NVMe-ish tier:
+/// fast sequential write-out, slow synchronous fault-in).
+const SWAP_OUT_PAGE_COST: SimTime = SimTime::from_micros(2);
+
+/// Latency to bring one page back from the swap tier.
+pub(crate) const SWAP_IN_PAGE_COST: SimTime = SimTime::from_micros(80);
 
 /// Per-node memory pressure, derived from resident pages vs the budget.
 ///
@@ -141,6 +147,31 @@ impl ReclaimPolicy {
             ReclaimPolicy::Swap => "swap",
         }
     }
+
+    /// Eviction priority for a page class: lower is evicted first,
+    /// `None` exempts the class. Every policy pins kernel text, page
+    /// tables and device rings (discarding those would tear the guest
+    /// down, not slim it); the balloon driver only ever hands back
+    /// guest-private pages.
+    pub fn eviction_priority(self, class: PageClass) -> Option<u8> {
+        match (self, class) {
+            (_, PageClass::Private) => Some(0),
+            (ReclaimPolicy::Balloon, _) => None,
+            (_, PageClass::AppShared) => Some(1),
+            (_, PageClass::KernelData) => Some(2),
+            (_, PageClass::KernelText | PageClass::PageTable | PageClass::DeviceRing) => None,
+        }
+    }
+
+    /// Frees up to `req.target_pages` pages on `ctx.node`, best effort.
+    pub fn reclaim(self, req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
+        match self {
+            ReclaimPolicy::Borrow => reclaim_borrow(req, ctx),
+            ReclaimPolicy::Balloon => reclaim_balloon(req, ctx),
+            ReclaimPolicy::Deflate => reclaim_deflate(req, ctx),
+            ReclaimPolicy::Swap => reclaim_swap(req, ctx),
+        }
+    }
 }
 
 /// One reclaim round's input: how bad things are and how much to free.
@@ -185,7 +216,7 @@ pub struct ReclaimCounters {
 
 /// Shared reclaim bookkeeping: which pages are out, and the counters.
 ///
-/// Lives outside the reclaimer because the access path needs it too
+/// Lives outside the reclaim round because the access path needs it too
 /// (swap-ins and refaults happen on touch, not during reclaim).
 #[derive(Debug, Default)]
 pub struct ReclaimBook {
@@ -224,16 +255,12 @@ pub struct ElasticParams {
     pub thresholds: PressureThresholds,
     /// Nodes the VM spans (the borrow policy's destination universe).
     pub nodes: u32,
-    /// Latency to demote one page to the swap tier.
-    pub swap_out: SimTime,
-    /// Latency to bring one page back from the swap tier.
-    pub swap_in: SimTime,
     /// Fraction of the budget the balloon may hold at once.
     pub balloon_share: f64,
 }
 
 /// Everything a reclaim round may touch, borrowed disjointly from the
-/// memory subsystem so the boxed reclaimer can run against it.
+/// memory subsystem so a [`ReclaimPolicy`] can run against it.
 pub struct ReclaimCtx<'a> {
     /// Simulated time the round starts at.
     pub now: SimTime,
@@ -261,274 +288,169 @@ impl ReclaimCtx<'_> {
     }
 }
 
-/// A reclaim policy: pressure level and per-class priorities in,
-/// best-effort pages out.
-pub trait MemoryReclaimer {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// The policy tag this reclaimer implements.
-    fn policy(&self) -> ReclaimPolicy;
-
-    /// Eviction priority for a page class: lower is evicted first,
-    /// `None` exempts the class. The default pins kernel text, page
-    /// tables and device rings (discarding those would tear the guest
-    /// down, not slim it).
-    fn eviction_priority(&self, class: PageClass) -> Option<u8> {
-        match class {
-            PageClass::Private => Some(0),
-            PageClass::AppShared => Some(1),
-            PageClass::KernelData => Some(2),
-            PageClass::KernelText | PageClass::PageTable | PageClass::DeviceRing => None,
-        }
-    }
-
-    /// Frees up to `req.target_pages` pages, best effort.
-    fn reclaim(&mut self, req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome;
-}
-
 /// Borrow: evict master copies to the remote node with the most headroom.
-#[derive(Debug, Default)]
-struct BorrowReclaimer;
-
-impl MemoryReclaimer for BorrowReclaimer {
-    fn name(&self) -> &'static str {
-        "borrow"
+fn reclaim_borrow(req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
+    // Destination: most headroom below the *moderate* watermark, ties
+    // to the lowest node id. Filling a donor past its own comfort zone
+    // just moves the pressure next door and sets off eviction
+    // ping-pong, so a donor is only good for the pages that keep it
+    // under Moderate. A cluster with no such donor leaves nothing to
+    // borrow — the fault stalls but nothing moves.
+    let donor_fill = (ctx.params.thresholds.moderate * ctx.params.budget_pages as f64) as u64;
+    let mut best: Option<(u64, u32)> = None;
+    for id in 0..ctx.params.nodes {
+        if id == ctx.node.0 {
+            continue;
+        }
+        let headroom = donor_fill.saturating_sub(ctx.resident(NodeId::new(id)));
+        if headroom > 0 && best.is_none_or(|(h, _)| headroom > h) {
+            best = Some((headroom, id));
+        }
     }
-
-    fn policy(&self) -> ReclaimPolicy {
-        ReclaimPolicy::Borrow
+    let Some((headroom, dst)) = best else {
+        return ReclaimOutcome::default();
+    };
+    let dst = NodeId::new(dst);
+    let max = req.target_pages.min(headroom) as usize;
+    let rank = |c: PageClass| ReclaimPolicy::Borrow.eviction_priority(c);
+    let victims = ctx.dsm.reclaim_victims(ctx.node, max, rank);
+    let mut t = ctx.now;
+    let mut moved = 0u64;
+    for v in victims {
+        if ctx.dsm.evict_page(v, dst) {
+            // The page body actually crosses the fabric.
+            t = crate::memory::dsm_send(
+                ctx.fabric,
+                t,
+                Message::new(ctx.node, dst, DSM_PAGE, MsgClass::Dsm),
+            );
+            moved += 1;
+        }
     }
-
-    fn reclaim(&mut self, req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
-        // Destination: most headroom below the *moderate* watermark, ties
-        // to the lowest node id. Filling a donor past its own comfort zone
-        // just moves the pressure next door and sets off eviction
-        // ping-pong, so a donor is only good for the pages that keep it
-        // under Moderate. A cluster with no such donor leaves nothing to
-        // borrow — the fault stalls but nothing moves.
-        let donor_fill = (ctx.params.thresholds.moderate * ctx.params.budget_pages as f64) as u64;
-        let mut best: Option<(u64, u32)> = None;
-        for id in 0..ctx.params.nodes {
-            if id == ctx.node.0 {
-                continue;
-            }
-            let headroom = donor_fill.saturating_sub(ctx.resident(NodeId::new(id)));
-            if headroom > 0 && best.is_none_or(|(h, _)| headroom > h) {
-                best = Some((headroom, id));
-            }
-        }
-        let Some((headroom, dst)) = best else {
-            return ReclaimOutcome::default();
-        };
-        let dst = NodeId::new(dst);
-        let max = req.target_pages.min(headroom) as usize;
-        let rank = |c: PageClass| self.eviction_priority(c);
-        let victims = ctx.dsm.reclaim_victims(ctx.node, max, rank);
-        let mut t = ctx.now;
-        let mut moved = 0u64;
-        for v in victims {
-            if ctx.dsm.evict_page(v, dst) {
-                // The page body actually crosses the fabric.
-                t = crate::memory::dsm_send(
-                    ctx.fabric,
-                    t,
-                    Message::new(ctx.node, dst, DSM_PAGE, MsgClass::Dsm),
-                );
-                moved += 1;
-            }
-        }
-        ctx.book.counters.pages_evicted += moved;
-        ReclaimOutcome {
-            reclaimed_pages: moved,
-            latency: t - ctx.now,
-        }
+    ctx.book.counters.pages_evicted += moved;
+    ReclaimOutcome {
+        reclaimed_pages: moved,
+        latency: t - ctx.now,
     }
 }
 
 /// Balloon: discard guest-private pages; reuse refaults as first touch.
-#[derive(Debug, Default)]
-struct BalloonReclaimer;
-
-impl MemoryReclaimer for BalloonReclaimer {
-    fn name(&self) -> &'static str {
-        "balloon"
+fn reclaim_balloon(req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
+    let cap = (ctx.params.balloon_share * ctx.params.budget_pages as f64) as u64;
+    let room = cap.saturating_sub(ctx.book.balloon_outstanding);
+    let max = req.target_pages.min(room) as usize;
+    if max == 0 {
+        return ReclaimOutcome::default();
     }
-
-    fn policy(&self) -> ReclaimPolicy {
-        ReclaimPolicy::Balloon
-    }
-
-    fn eviction_priority(&self, class: PageClass) -> Option<u8> {
-        // The balloon driver only ever hands back guest-private pages.
-        match class {
-            PageClass::Private => Some(0),
-            _ => None,
+    let rank = |c: PageClass| ReclaimPolicy::Balloon.eviction_priority(c);
+    let victims = ctx.dsm.reclaim_victims(ctx.node, max, rank);
+    let mut freed = 0u64;
+    for v in victims {
+        if ctx.dsm.release_page(v, "balloon").is_some() {
+            ctx.book.released.insert(v);
+            freed += 1;
         }
     }
-
-    fn reclaim(&mut self, req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
-        let cap = (ctx.params.balloon_share * ctx.params.budget_pages as f64) as u64;
-        let room = cap.saturating_sub(ctx.book.balloon_outstanding);
-        let max = req.target_pages.min(room) as usize;
-        if max == 0 {
-            return ReclaimOutcome::default();
-        }
-        let rank = |c: PageClass| self.eviction_priority(c);
-        let victims = ctx.dsm.reclaim_victims(ctx.node, max, rank);
-        let mut freed = 0u64;
-        for v in victims {
-            if ctx.dsm.release_page(v, "balloon").is_some() {
-                ctx.book.released.insert(v);
-                freed += 1;
-            }
-        }
-        if freed > 0 {
-            let at = ctx.now.as_nanos();
-            let node = ctx.node.0;
-            ctx.dsm.tracer().emit_with(|| TraceEvent::BalloonInflate {
-                at,
-                node,
-                pages: freed,
-            });
-        }
-        ctx.book.balloon_outstanding += freed;
-        ctx.book.counters.pages_ballooned += freed;
-        ReclaimOutcome {
-            reclaimed_pages: freed,
-            latency: SimTime::from_nanos(freed * BALLOON_PAGE_COST.as_nanos()),
-        }
+    if freed > 0 {
+        let at = ctx.now.as_nanos();
+        let node = ctx.node.0;
+        ctx.dsm.tracer().emit_with(|| TraceEvent::BalloonInflate {
+            at,
+            node,
+            pages: freed,
+        });
+    }
+    ctx.book.balloon_outstanding += freed;
+    ctx.book.counters.pages_ballooned += freed;
+    ReclaimOutcome {
+        reclaimed_pages: freed,
+        latency: SimTime::from_nanos(freed * BALLOON_PAGE_COST.as_nanos()),
     }
 }
 
 /// Deflate: discard pages *and* shrink the pseudo-physical limit.
-#[derive(Debug, Default)]
-struct DeflateReclaimer;
-
-impl MemoryReclaimer for DeflateReclaimer {
-    fn name(&self) -> &'static str {
-        "deflate"
+fn reclaim_deflate(req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
+    let rank = |c: PageClass| ReclaimPolicy::Deflate.eviction_priority(c);
+    let victims = ctx
+        .dsm
+        .reclaim_victims(ctx.node, req.target_pages as usize, rank);
+    let mut freed = 0u64;
+    for v in victims {
+        if ctx.dsm.release_page(v, "deflate").is_some() {
+            ctx.book.released.insert(v);
+            freed += 1;
+        }
     }
-
-    fn policy(&self) -> ReclaimPolicy {
-        ReclaimPolicy::Deflate
+    if freed > 0 {
+        // The share is gone for good: the guest may not allocate
+        // above the deflated limit (clamped to what is in use).
+        let limit = ctx.alloc.limit_pages();
+        ctx.alloc.set_limit_pages(limit.saturating_sub(freed));
     }
-
-    fn reclaim(&mut self, req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
-        let rank = |c: PageClass| self.eviction_priority(c);
-        let victims = ctx
-            .dsm
-            .reclaim_victims(ctx.node, req.target_pages as usize, rank);
-        let mut freed = 0u64;
-        for v in victims {
-            if ctx.dsm.release_page(v, "deflate").is_some() {
-                ctx.book.released.insert(v);
-                freed += 1;
-            }
-        }
-        if freed > 0 {
-            // The share is gone for good: the guest may not allocate
-            // above the deflated limit (clamped to what is in use).
-            let limit = ctx.alloc.limit_pages();
-            ctx.alloc.set_limit_pages(limit.saturating_sub(freed));
-        }
-        ctx.book.counters.pages_deflated += freed;
-        ReclaimOutcome {
-            reclaimed_pages: freed,
-            latency: SimTime::from_nanos(freed * DEFLATE_PAGE_COST.as_nanos()),
-        }
+    ctx.book.counters.pages_deflated += freed;
+    ReclaimOutcome {
+        reclaimed_pages: freed,
+        latency: SimTime::from_nanos(freed * DEFLATE_PAGE_COST.as_nanos()),
     }
 }
 
 /// Swap: demote pages to a slower tier; the next touch pays the swap-in.
-#[derive(Debug, Default)]
-struct SwapReclaimer;
-
-impl MemoryReclaimer for SwapReclaimer {
-    fn name(&self) -> &'static str {
-        "swap"
-    }
-
-    fn policy(&self) -> ReclaimPolicy {
-        ReclaimPolicy::Swap
-    }
-
-    fn reclaim(&mut self, req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
-        // Over-select: victims already in the swap tier (still owned in
-        // the directory, so still candidates) are skipped below.
-        let want = req.target_pages as usize;
-        let rank = |c: PageClass| self.eviction_priority(c);
-        let victims = ctx.dsm.reclaim_victims(
-            ctx.node,
-            want + ctx.book.swapped_on(ctx.node) as usize,
-            rank,
-        );
-        let at = ctx.now.as_nanos();
-        let node = ctx.node;
-        let mut out = 0u64;
-        for v in victims {
-            if out as usize >= want {
-                break;
-            }
-            if ctx.book.swapped.contains_key(&v) {
-                continue;
-            }
-            ctx.book.swapped.insert(v, node);
-            ctx.book.bump_swapped(node, 1);
-            let pg = v.index() as u64;
-            ctx.dsm.tracer().emit_with(|| TraceEvent::PageSwapOut {
-                at,
-                page: pg,
-                node: node.0,
-            });
-            out += 1;
+fn reclaim_swap(req: &ReclaimRequest, ctx: &mut ReclaimCtx<'_>) -> ReclaimOutcome {
+    // Over-select: victims already in the swap tier (still owned in
+    // the directory, so still candidates) are skipped below.
+    let want = req.target_pages as usize;
+    let rank = |c: PageClass| ReclaimPolicy::Swap.eviction_priority(c);
+    let victims = ctx.dsm.reclaim_victims(
+        ctx.node,
+        want + ctx.book.swapped_on(ctx.node) as usize,
+        rank,
+    );
+    let at = ctx.now.as_nanos();
+    let node = ctx.node;
+    let mut out = 0u64;
+    for v in victims {
+        if out as usize >= want {
+            break;
         }
-        ctx.book.counters.pages_swapped += out;
-        ReclaimOutcome {
-            reclaimed_pages: out,
-            latency: SimTime::from_nanos(out * ctx.params.swap_out.as_nanos()),
+        if ctx.book.swapped.contains_key(&v) {
+            continue;
         }
+        ctx.book.swapped.insert(v, node);
+        ctx.book.bump_swapped(node, 1);
+        let pg = v.index() as u64;
+        ctx.dsm.tracer().emit_with(|| TraceEvent::PageSwapOut {
+            at,
+            page: pg,
+            node: node.0,
+        });
+        out += 1;
     }
-}
-
-fn make_reclaimer(policy: ReclaimPolicy) -> Box<dyn MemoryReclaimer> {
-    match policy {
-        ReclaimPolicy::Borrow => Box::new(BorrowReclaimer),
-        ReclaimPolicy::Balloon => Box::new(BalloonReclaimer),
-        ReclaimPolicy::Deflate => Box::new(DeflateReclaimer),
-        ReclaimPolicy::Swap => Box::new(SwapReclaimer),
+    ctx.book.counters.pages_swapped += out;
+    ReclaimOutcome {
+        reclaimed_pages: out,
+        latency: SimTime::from_nanos(out * SWAP_OUT_PAGE_COST.as_nanos()),
     }
 }
 
 /// The elasticity machinery attached to a [`VmMemory`] when a budget and
 /// policy are configured.
+#[derive(Debug)]
 pub struct ElasticState {
     /// Resolved parameters.
     pub params: ElasticParams,
     /// The active policy.
-    pub reclaimer: Box<dyn MemoryReclaimer>,
+    pub policy: ReclaimPolicy,
     /// Last sampled pressure level per node (trace-on-change).
     pub last_level: Vec<MemoryPressure>,
     /// Shared bookkeeping.
     pub book: ReclaimBook,
 }
 
-impl fmt::Debug for ElasticState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ElasticState")
-            .field("params", &self.params)
-            .field("reclaimer", &self.reclaimer.name())
-            .field("last_level", &self.last_level)
-            .field("book", &self.book)
-            .finish()
-    }
-}
-
 impl ElasticState {
     pub(crate) fn new(params: ElasticParams, policy: ReclaimPolicy) -> Self {
         ElasticState {
             params,
-            reclaimer: make_reclaimer(policy),
+            policy,
             last_level: Vec::new(),
             book: ReclaimBook::default(),
         }
@@ -544,8 +466,7 @@ impl ElasticState {
 }
 
 /// Builder for a VM's memory subsystem: capacity, layout inputs, and the
-/// optional elasticity configuration (budget, watermarks, reclaim policy,
-/// swap-tier latencies).
+/// optional elasticity configuration (budget, watermarks, reclaim policy).
 ///
 /// Replaces the positional `VmMemory::new(profile, vcpus, ram, bootstrap)`
 /// — mirroring the `DeviceConfig` builder — and is accepted by
@@ -576,8 +497,6 @@ pub struct MemoryConfig {
     pub(crate) budget: Option<ByteSize>,
     pub(crate) thresholds: PressureThresholds,
     pub(crate) policy: Option<ReclaimPolicy>,
-    pub(crate) swap_out: SimTime,
-    pub(crate) swap_in: SimTime,
     pub(crate) balloon_share: f64,
 }
 
@@ -592,10 +511,6 @@ impl MemoryConfig {
             budget: None,
             thresholds: PressureThresholds::default(),
             policy: None,
-            // Local NVMe-ish swap tier: fast sequential write-out, slow
-            // synchronous fault-in.
-            swap_out: SimTime::from_micros(2),
-            swap_in: SimTime::from_micros(80),
             balloon_share: 0.25,
         }
     }
@@ -633,13 +548,6 @@ impl MemoryConfig {
     /// The reclaim policy to run under pressure.
     pub fn policy(mut self, policy: ReclaimPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Swap-tier latencies: per-page demotion and fault-in.
-    pub fn swap_latencies(mut self, swap_out: SimTime, swap_in: SimTime) -> Self {
-        self.swap_out = swap_out;
-        self.swap_in = swap_in;
         self
     }
 
@@ -687,12 +595,12 @@ mod tests {
 
     #[test]
     fn default_priorities_pin_kernel_structure() {
-        let r = BorrowReclaimer;
+        let r = ReclaimPolicy::Borrow;
         assert_eq!(r.eviction_priority(PageClass::Private), Some(0));
         assert_eq!(r.eviction_priority(PageClass::KernelText), None);
         assert_eq!(r.eviction_priority(PageClass::PageTable), None);
         assert_eq!(r.eviction_priority(PageClass::DeviceRing), None);
-        let b = BalloonReclaimer;
+        let b = ReclaimPolicy::Balloon;
         assert_eq!(
             b.eviction_priority(PageClass::AppShared),
             None,
@@ -704,9 +612,5 @@ mod tests {
     fn policy_labels_stable() {
         let labels: Vec<&str> = ReclaimPolicy::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["borrow", "balloon", "deflate", "swap"]);
-        for p in ReclaimPolicy::ALL {
-            assert_eq!(make_reclaimer(p).policy(), p);
-            assert_eq!(make_reclaimer(p).name(), p.label());
-        }
     }
 }

@@ -39,8 +39,7 @@ pub mod stats;
 pub mod vm;
 
 pub use elastic::{
-    MemoryConfig, MemoryPressure, MemoryReclaimer, PressureThresholds, ReclaimCounters,
-    ReclaimPolicy,
+    MemoryConfig, MemoryPressure, PressureThresholds, ReclaimCounters, ReclaimPolicy,
 };
 pub use failure::FailureConfig;
 pub use fleet::{FleetConfig, FleetReport, FleetSim, TenantSpec, TenantStats};

@@ -15,7 +15,7 @@ use sim_core::units::ByteSize;
 
 use crate::elastic::{
     ElasticParams, ElasticState, MemoryConfig, MemoryPressure, ReclaimCounters, ReclaimCtx,
-    ReclaimRequest,
+    ReclaimRequest, SWAP_IN_PAGE_COST,
 };
 use crate::profile::HypervisorProfile;
 
@@ -121,8 +121,6 @@ impl VmMemory {
             budget_pages: budget.pages_4k(),
             thresholds: cfg.thresholds,
             nodes: cfg.nodes,
-            swap_out: cfg.swap_out,
-            swap_in: cfg.swap_in,
             balloon_share: cfg.balloon_share,
         };
         self.elastic = Some(Box::new(ElasticState::new(params, policy)));
@@ -247,7 +245,7 @@ impl VmMemory {
                 });
                 el.book.bump_swapped(home, -1);
                 el.book.counters.pages_swapped_in += 1;
-                t += el.params.swap_in + INSTALL_COST;
+                t += SWAP_IN_PAGE_COST + INSTALL_COST;
             }
             // A ballooned/deflated page refaults: charge the handler
             // re-entry; the first-touch path below re-creates the page.
@@ -318,7 +316,7 @@ impl VmMemory {
         dsm.set_clock(done);
         let ElasticState {
             params,
-            reclaimer,
+            policy,
             book,
             ..
         } = el;
@@ -331,7 +329,7 @@ impl VmMemory {
             book,
             params,
         };
-        let outcome = reclaimer.reclaim(&req, &mut ctx);
+        let outcome = policy.reclaim(&req, &mut ctx);
         book.counters.pressure_stalls += 1;
         book.counters.reclaim_latency += outcome.latency;
         done + outcome.latency

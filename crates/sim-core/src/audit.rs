@@ -184,53 +184,20 @@ pub fn audit(events: &[TraceEvent]) -> Vec<Violation> {
                 page,
                 node,
                 write,
-            } => {
-                if swapped.contains(&page) {
-                    flag(
-                        i,
-                        at,
-                        "reclaim-swapped-access",
-                        format!("node {node} hit swapped-out page {page} before its swap-in"),
-                    );
-                }
-                let Some(p) = pages.get(&page) else { continue };
-                if !p.sharers.contains(&node) {
-                    flag(
-                        i,
-                        at,
-                        "dsm-stale-read",
-                        format!("node {node} hit page {page} without a valid copy"),
-                    );
-                }
-                if write && (p.owner != node || !p.exclusive) {
-                    flag(
-                        i,
-                        at,
-                        "dsm-stale-write",
-                        format!(
-                            "node {node} write-hit page {page} (owner {}, exclusive {})",
-                            p.owner, p.exclusive
-                        ),
-                    );
-                }
-                if write && fenced.contains_key(&node) {
-                    flag(
-                        i,
-                        at,
-                        "epoch-stale-mutation",
-                        format!("fenced node {node} write-hit page {page}"),
-                    );
-                }
             }
-            TraceEvent::DsmHitBatch {
+            | TraceEvent::DsmHitBatch {
                 at,
                 page,
-                len,
                 node,
                 write,
+                ..
             } => {
-                // Semantically `len` individual hits on consecutive pages:
-                // replay the same per-page checks the DsmHit arm applies.
+                // A hit is a one-page run; a batch is `len` individual hits
+                // on consecutive pages, each held to the same rules.
+                let len = match *ev {
+                    TraceEvent::DsmHitBatch { len, .. } => len,
+                    _ => 1,
+                };
                 for pg in page..page + len {
                     if swapped.contains(&pg) {
                         flag(

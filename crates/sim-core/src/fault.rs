@@ -351,16 +351,6 @@ impl FaultPlan {
     pub fn is_crashed(&self, node: u32, now: SimTime) -> bool {
         self.crash_time(node).is_some_and(|at| at <= now)
     }
-
-    /// Whether the plan can lose or duplicate messages at all. A plan
-    /// that only crashes nodes (or only adds latency) is loss-free; the
-    /// audit's detector rule keys off the trace, but callers can use this
-    /// to pick scenarios.
-    pub fn is_loss_free(&self) -> bool {
-        self.links
-            .iter()
-            .all(|l| l.loss <= 0.0 && l.duplication <= 0.0)
-    }
 }
 
 /// The per-message verdict for one send attempt.

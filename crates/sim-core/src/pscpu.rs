@@ -105,11 +105,6 @@ impl PsCpu {
         self.tasks.len()
     }
 
-    /// Returns true if a given task is currently running on this CPU.
-    pub fn has_task(&self, task: u64) -> bool {
-        self.tasks.binary_search_by_key(&task, |&(t, _)| t).is_ok()
-    }
-
     /// Total useful work delivered so far, in reference nanoseconds.
     pub fn delivered(&self) -> SimTime {
         // Round, don't truncate: fractional nanoseconds accumulate across

@@ -24,913 +24,601 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// One structured trace event.
+/// Declares [`TraceEvent`] from one table and generates, from the same
+/// entries, [`TraceEvent::at`], [`TraceEvent::write_json`] and (for tests)
+/// the list of event names.
 ///
-/// `at` is virtual time in nanoseconds. For DSM directory events it is the
-/// *clock hint* of the access that triggered the transition (directory
-/// transitions are applied eagerly, so hints may run ahead of or behind the
-/// engine clock; their *order* in the trace is the causal order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A page was allocated in the DSM directory (first touch or explicit
-    /// registration), homed exclusively on `home`.
-    DsmAlloc {
-        /// Clock hint (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// Home node: initial owner and sole sharer.
-        home: u32,
-    },
-    /// An access hit a valid local mapping (no protocol action).
-    DsmHit {
-        /// Clock hint (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// Accessing node.
-        node: u32,
-        /// `true` for writes (which require exclusive ownership).
-        write: bool,
-    },
-    /// A run of consecutive same-node accesses hit valid local mappings
-    /// (no protocol action). Emitted by the batched access path in place
-    /// of `len` individual [`TraceEvent::DsmHit`] events; semantically
-    /// equivalent to hits on pages `page..page+len` in ascending order.
-    DsmHitBatch {
-        /// Clock hint (ns).
-        at: u64,
-        /// First page id of the run.
-        page: u64,
-        /// Number of consecutive pages hit.
-        len: u64,
-        /// Accessing node.
-        node: u32,
-        /// `true` for writes (which require exclusive ownership).
-        write: bool,
-    },
-    /// An access faulted; the directory transition was applied eagerly.
-    DsmFault {
-        /// Clock hint (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// Faulting node.
-        node: u32,
-        /// `"read_remote"`, `"upgrade"`, or `"write_remote"`.
-        kind: &'static str,
-    },
-    /// A node's copy of a page was invalidated.
-    DsmInvalidate {
-        /// Clock hint (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// Node losing its copy.
-        node: u32,
-    },
-    /// Page ownership moved between nodes.
-    DsmOwnerTransfer {
-        /// Clock hint (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// Previous owner.
-        from: u32,
-        /// New owner.
-        to: u32,
-    },
-    /// A node gained a valid copy of a page.
-    DsmGrant {
-        /// Clock hint (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// Node gaining the copy.
-        node: u32,
-        /// `true` when the grant is exclusive (write ownership).
-        exclusive: bool,
-    },
-    /// A page rode a read response as a sequential prefetch.
-    DsmPrefetch {
-        /// Clock hint (ns).
-        at: u64,
-        /// Prefetched page id.
-        page: u64,
-        /// Node receiving the prefetched copy.
-        node: u32,
-        /// Node serving the piggybacked data (must be the page's owner).
-        owner: u32,
-    },
-    /// A message was submitted to the fabric.
-    FabricSend {
-        /// Submission time (ns).
-        at: u64,
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dst: u32,
-        /// Message class label (e.g. `"dsm"`, `"interrupt"`).
-        class: &'static str,
-        /// Whether the message rode the link's strict-priority tier.
-        prio: bool,
-        /// Payload size in bytes.
-        bytes: u64,
-        /// Time spent queueing behind earlier messages of the same
-        /// scheduling tier on the link (ns).
-        queued_ns: u64,
-        /// Time the message occupied its (virtual) transmitter, after any
-        /// weighted-fair stretch (ns).
-        serialize_ns: u64,
-        /// The scheduler's starvation bound for this message: the worst
-        /// serialization stretch its class weight permits (ns).
-        bound_ns: u64,
-        /// Delivery time of the last byte (ns).
-        deliver_at: u64,
-    },
-    /// A directed link's queue state was reset (profile override).
-    FabricLinkReset {
-        /// Source node.
-        src: u32,
-        /// Destination node.
-        dst: u32,
-    },
-    /// A task joined a processor-sharing CPU.
-    CpuAdd {
-        /// Time (ns).
-        at: u64,
-        /// CPU id (assigned when the tracer is attached).
-        cpu: u32,
-        /// Task id.
-        task: u64,
-        /// Dedicated work remaining (reference ns).
-        work_ns: u64,
-    },
-    /// A task left a CPU early (migration, blocking I/O).
-    CpuCancel {
-        /// Time (ns).
-        at: u64,
-        /// CPU id.
-        cpu: u32,
-        /// Task id.
-        task: u64,
-        /// Work the task still had left (reference ns).
-        rem_ns: u64,
-        /// Total useful work the CPU has delivered (reference ns).
-        delivered_ns: u64,
-        /// Total non-idle time (ns).
-        busy_ns: u64,
-        /// Speed multiplier of the CPU.
-        speed: f64,
-    },
-    /// A task completed on a CPU.
-    CpuDone {
-        /// Time (ns).
-        at: u64,
-        /// CPU id.
-        cpu: u32,
-        /// Task id.
-        task: u64,
-        /// Total useful work the CPU has delivered (reference ns).
-        delivered_ns: u64,
-        /// Total non-idle time (ns).
-        busy_ns: u64,
-        /// Speed multiplier of the CPU.
-        speed: f64,
-    },
-    /// A vCPU migration was accepted and its state transfer started.
-    VcpuMigrateStart {
-        /// Time (ns).
-        at: u64,
-        /// Migrating vCPU.
-        vcpu: u32,
-        /// Source node.
-        from_node: u32,
-        /// Destination node.
-        to_node: u32,
-    },
-    /// A vCPU migration completed and the vCPU resumed on its new slice.
-    VcpuMigrateDone {
-        /// Time (ns).
-        at: u64,
-        /// Migrated vCPU.
-        vcpu: u32,
-        /// Node it now runs on.
-        node: u32,
-    },
-    /// An inter-processor interrupt was routed to a vCPU.
-    Ipi {
-        /// Time (ns).
-        at: u64,
-        /// Node the IPI originates from.
-        src_node: u32,
-        /// Target vCPU.
-        to_vcpu: u32,
-        /// `"ipi"` (directed wakeup) or `"shootdown"` (TLB broadcast).
-        kind: &'static str,
-    },
-    /// A checkpoint of one slice's memory was taken.
-    Checkpoint {
-        /// Time (ns): when this slice's stream completes.
-        at: u64,
-        /// Slice whose pages were captured.
-        node: u32,
-        /// Bytes captured from this slice.
-        bytes: u64,
-    },
-    /// The fault plan dropped a message on a degraded link (or a send
-    /// attempt targeted a crashed node).
-    FabricDrop {
-        /// Time of the dropped attempt (ns).
-        at: u64,
-        /// Sending node.
-        src: u32,
-        /// Receiving node.
-        dst: u32,
-        /// Message class label.
-        class: &'static str,
-    },
-    /// A bounded-retry attempt for a priority-class message whose earlier
-    /// attempt was dropped by the fault plan.
-    FabricRetry {
-        /// Time this attempt goes out (ns) — submission plus backoff.
-        at: u64,
-        /// Sending node.
-        src: u32,
-        /// Receiving node.
-        dst: u32,
-        /// Message class label.
-        class: &'static str,
-        /// 1-based retry attempt number.
-        attempt: u32,
-        /// The policy's bound: attempts never exceed this.
-        max_attempts: u32,
-        /// Backoff waited before this attempt (ns).
-        backoff_ns: u64,
-    },
-    /// A link entered a degradation window (announced on the first send
-    /// the window affects).
-    LinkDegrade {
-        /// Time of the first affected send (ns).
-        at: u64,
-        /// Sending node of the degraded link.
-        src: u32,
-        /// Receiving node of the degraded link.
-        dst: u32,
-        /// Drop probability in parts-per-million.
-        loss_ppm: u64,
-        /// Extra wire occupancy per message (ns).
-        extra_ns: u64,
-    },
-    /// A node fail-stopped per the fault plan.
-    NodeCrash {
-        /// Crash time (ns).
-        at: u64,
-        /// The failed node.
-        node: u32,
-    },
-    /// The failure detector's heartbeat probe to a node went unanswered.
-    HeartbeatMiss {
-        /// Probe time (ns).
-        at: u64,
-        /// Probed node.
-        node: u32,
-        /// Consecutive misses including this one.
-        misses: u32,
-    },
-    /// The failure detector crossed its miss threshold and declared a
-    /// node dead, triggering recovery.
-    NodeDeclaredDead {
-        /// Declaration time (ns).
-        at: u64,
-        /// The suspected node.
-        node: u32,
-        /// Consecutive misses at declaration.
-        misses: u32,
-    },
-    /// A page homed on a dead node was re-homed to the restore target
-    /// (its master copy now comes from the checkpoint image).
-    PageQuarantine {
-        /// Quarantine time (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// The crashed node that owned the master copy.
-        dead: u32,
-        /// The node the restored copy now lives on.
-        to: u32,
-    },
-    /// Recovery finished restoring a dead node's state from the last
-    /// checkpoint image.
-    NodeRestore {
-        /// Time the restore completes and the node's vCPUs resume (ns).
-        at: u64,
-        /// The crashed node whose state was restored.
-        node: u32,
-        /// Directory pages re-homed during quarantine.
-        pages: u64,
-        /// Wall time of the restore stream (ns).
-        restore_ns: u64,
-    },
-    /// A drain requested a vCPU migration the hypervisor refused.
-    VcpuMigrateRefused {
-        /// Time of the refused request (ns).
-        at: u64,
-        /// The vCPU that stayed put.
-        vcpu: u32,
-        /// Node it remains on.
-        from_node: u32,
-        /// Node the drain wanted it on.
-        to_node: u32,
-    },
-    /// A node's memory-pressure level changed (sampled on the DSM fault
-    /// path against the node's resident-page budget).
-    PressureChange {
-        /// Time of the access that crossed the threshold (ns).
-        at: u64,
-        /// The node whose pressure changed.
-        node: u32,
-        /// New level label (`"normal"`, `"moderate"`, `"high"`,
-        /// `"critical"`).
-        level: &'static str,
-        /// Resident pages at the transition.
-        resident: u64,
-        /// The node's configured page budget.
-        budget: u64,
-    },
-    /// A reclaim evicted a page's master copy toward a node with headroom
-    /// (the borrow policy). Followed by the usual
-    /// invalidate/transfer/grant events describing the move.
-    PageEvict {
-        /// Eviction time (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// The pressured node giving the page up (must be the owner).
-        from: u32,
-        /// The node with headroom receiving the master copy.
-        to: u32,
-    },
-    /// A reclaim discarded a page outright (balloon or deflate): the
-    /// directory entry is gone and a later touch refaults as a fresh
-    /// allocation. Preceded by an invalidate per surviving copy.
-    PageRelease {
-        /// Release time (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// The owner the page was released from.
-        node: u32,
-        /// Reclaim policy label (`"balloon"` or `"deflate"`).
-        policy: &'static str,
-    },
-    /// A reclaim demoted a page to the swap tier; its directory entry
-    /// survives but any reuse must swap it back in first.
-    PageSwapOut {
-        /// Swap-out time (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// The pressured node demoting the page.
-        node: u32,
-    },
-    /// A swapped-out page was faulted back in ahead of a reuse. Must
-    /// follow the page's `PageSwapOut`.
-    PageSwapIn {
-        /// Swap-in time (ns).
-        at: u64,
-        /// Page id.
-        page: u64,
-        /// The node paying the swap-in stall.
-        node: u32,
-    },
-    /// The balloon driver inflated, handing guest-free pages back to the
-    /// host (one event per reclaim round).
-    BalloonInflate {
-        /// Inflation time (ns).
-        at: u64,
-        /// The pressured node.
-        node: u32,
-        /// Pages reclaimed by this inflation.
-        pages: u64,
-    },
-    /// A partition window opened and cut this node off from the rest of
-    /// the fabric (one event per isolated node).
-    PartitionStart {
-        /// Window start (ns).
-        at: u64,
-        /// An isolated node.
-        node: u32,
-    },
-    /// The partition window closed; this node can reach the fabric again
-    /// (one event per formerly isolated node). A fenced node must still
-    /// rejoin ([`TraceEvent::NodeRejoin`]) before touching the directory.
-    PartitionHeal {
-        /// Heal time (ns).
-        at: u64,
-        /// The reconnected node.
-        node: u32,
-    },
-    /// The failure detector bumped the cluster epoch while declaring a
-    /// node dead; the declared node is fenced at the previous epoch.
-    EpochBump {
-        /// Declaration time (ns).
-        at: u64,
-        /// The new cluster epoch.
-        epoch: u64,
-        /// The node fenced by this bump.
-        dead: u32,
-    },
-    /// The directory rejected an access from a fenced node carrying a
-    /// stale epoch: no directory state was mutated.
-    StaleEpochRejected {
-        /// Rejection time (ns).
-        at: u64,
-        /// The fenced node that issued the access.
-        node: u32,
-        /// The page it tried to touch.
-        page: u64,
-        /// The epoch the node still believes in.
-        node_epoch: u64,
-        /// The cluster epoch it was checked against.
-        cluster_epoch: u64,
-    },
-    /// A fenced node rejoined at the current epoch after a heal: its
-    /// stale copies were discarded and it is donor-eligible again.
-    NodeRejoin {
-        /// Rejoin time (ns).
-        at: u64,
-        /// The rejoining node.
-        node: u32,
-        /// The epoch the node resynced to.
-        epoch: u64,
-        /// Stale page copies discarded during resync.
-        discarded: u64,
-    },
-    /// A cross-shard fleet message arrived at its destination tenant after
-    /// the window-barrier merge (see `hypervisor::fleet`). `depart` is its
-    /// departure time on the source shard; a conservative merge guarantees
-    /// `at ≥ depart + lookahead` and the auditor's `fleet-*` rules hold the
-    /// exchange to per-pair FIFO on top of that.
-    FleetDeliver {
-        /// Delivery time on the destination shard (ns).
-        at: u64,
-        /// Source shard.
-        src_shard: u32,
-        /// Destination shard.
-        dst_shard: u32,
-        /// Global source tenant.
-        src: u32,
-        /// Global destination tenant.
-        dst: u32,
-        /// Departure time on the source shard (ns).
-        depart: u64,
-        /// Payload bytes.
-        bytes: u64,
-    },
-}
+/// Each entry is `Variant = "json_name" { field: Type, ... }` with its doc
+/// attributes. A record is `{"ev":"json_name"` followed by
+/// `,"field":value` per field in declaration order, then `}`; the head and
+/// every key are one `concat!` literal, and values go through
+/// [`JsonValue`].
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $ev:literal {
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $field: $ty, )* },
+            )*
+        }
 
-/// `{"ev":"<name>"` as one literal, for `Json::open`.
-macro_rules! ev {
-    ($name:literal) => {
-        concat!("{\"ev\":\"", $name, "\"")
+        impl TraceEvent {
+            /// The event's time field (ns): DSM events report their clock
+            /// hint, and an event without an `at` field reports 0.
+            pub fn at(&self) -> u64 {
+                match *self {
+                    $(
+                        #[allow(unused_variables)]
+                        TraceEvent::$variant { $($field),* } => 0 $(+ at_or_zero!($field $field))*,
+                    )*
+                }
+            }
+
+            /// Appends the event to `out` as a single JSON object (one
+            /// JSONL line, without the newline).
+            ///
+            /// All fields are integers, booleans, `f64` speeds or
+            /// `&'static str` labels, so no escaping is required beyond
+            /// quoting. Integers go through a small decimal writer; speeds
+            /// keep `core::fmt`'s `Display` form.
+            pub fn write_json(&self, out: &mut String) {
+                match self {
+                    $(
+                        TraceEvent::$variant { $($field),* } => {
+                            out.push_str(concat!("{\"ev\":\"", $ev, "\""));
+                            $(
+                                out.push_str(concat!(",\"", stringify!($field), "\":"));
+                                JsonValue::write_to($field, out);
+                            )*
+                        }
+                    )*
+                }
+                out.push('}');
+            }
+        }
+
+        /// `(variant, "ev" name)` per table entry, in table order.
+        #[cfg(test)]
+        const EVENT_NAMES: &[(&str, &str)] = &[$((stringify!($variant), $ev)),*];
     };
 }
 
-/// `,"<key>":` as one literal, for the `Json` field writers.
-macro_rules! key {
-    ($key:literal) => {
-        concat!(",\"", $key, "\":")
+/// The value of an `at` field, 0 for any other field (for
+/// [`TraceEvent::at`]; the binding is passed in so it resolves).
+macro_rules! at_or_zero {
+    (at $v:ident) => {
+        $v
     };
+    ($field:ident $v:ident) => {
+        0
+    };
+}
+
+trace_events! {
+    /// One structured trace event.
+    ///
+    /// `at` is virtual time in nanoseconds. For DSM directory events it is the
+    /// *clock hint* of the access that triggered the transition (directory
+    /// transitions are applied eagerly, so hints may run ahead of or behind the
+    /// engine clock; their *order* in the trace is the causal order).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// A page was allocated in the DSM directory (first touch or explicit
+        /// registration), homed exclusively on `home`.
+        DsmAlloc = "dsm_alloc" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// Home node: initial owner and sole sharer.
+            home: u32,
+        },
+        /// An access hit a valid local mapping (no protocol action).
+        DsmHit = "dsm_hit" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// Accessing node.
+            node: u32,
+            /// `true` for writes (which require exclusive ownership).
+            write: bool,
+        },
+        /// A run of consecutive same-node accesses hit valid local mappings
+        /// (no protocol action). Emitted by the batched access path in place
+        /// of `len` individual [`TraceEvent::DsmHit`] events; semantically
+        /// equivalent to hits on pages `page..page+len` in ascending order.
+        DsmHitBatch = "dsm_hit_batch" {
+            /// Clock hint (ns).
+            at: u64,
+            /// First page id of the run.
+            page: u64,
+            /// Number of consecutive pages hit.
+            len: u64,
+            /// Accessing node.
+            node: u32,
+            /// `true` for writes (which require exclusive ownership).
+            write: bool,
+        },
+        /// An access faulted; the directory transition was applied eagerly.
+        DsmFault = "dsm_fault" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// Faulting node.
+            node: u32,
+            /// `"read_remote"`, `"upgrade"`, or `"write_remote"`.
+            kind: &'static str,
+        },
+        /// A node's copy of a page was invalidated.
+        DsmInvalidate = "dsm_invalidate" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// Node losing its copy.
+            node: u32,
+        },
+        /// Page ownership moved between nodes.
+        DsmOwnerTransfer = "dsm_owner_transfer" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// Previous owner.
+            from: u32,
+            /// New owner.
+            to: u32,
+        },
+        /// A node gained a valid copy of a page.
+        DsmGrant = "dsm_grant" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// Node gaining the copy.
+            node: u32,
+            /// `true` when the grant is exclusive (write ownership).
+            exclusive: bool,
+        },
+        /// A page rode a read response as a sequential prefetch.
+        DsmPrefetch = "dsm_prefetch" {
+            /// Clock hint (ns).
+            at: u64,
+            /// Prefetched page id.
+            page: u64,
+            /// Node receiving the prefetched copy.
+            node: u32,
+            /// Node serving the piggybacked data (must be the page's owner).
+            owner: u32,
+        },
+        /// A message was submitted to the fabric.
+        FabricSend = "fabric_send" {
+            /// Submission time (ns).
+            at: u64,
+            /// Source node.
+            src: u32,
+            /// Destination node.
+            dst: u32,
+            /// Message class label (e.g. `"dsm"`, `"interrupt"`).
+            class: &'static str,
+            /// Whether the message rode the link's strict-priority tier.
+            prio: bool,
+            /// Payload size in bytes.
+            bytes: u64,
+            /// Time spent queueing behind earlier messages of the same
+            /// scheduling tier on the link (ns).
+            queued_ns: u64,
+            /// Time the message occupied its (virtual) transmitter, after any
+            /// weighted-fair stretch (ns).
+            serialize_ns: u64,
+            /// The scheduler's starvation bound for this message: the worst
+            /// serialization stretch its class weight permits (ns).
+            bound_ns: u64,
+            /// Delivery time of the last byte (ns).
+            deliver_at: u64,
+        },
+        /// A directed link's queue state was reset (profile override).
+        FabricLinkReset = "fabric_link_reset" {
+            /// Source node.
+            src: u32,
+            /// Destination node.
+            dst: u32,
+        },
+        /// A task joined a processor-sharing CPU.
+        CpuAdd = "cpu_add" {
+            /// Time (ns).
+            at: u64,
+            /// CPU id (assigned when the tracer is attached).
+            cpu: u32,
+            /// Task id.
+            task: u64,
+            /// Dedicated work remaining (reference ns).
+            work_ns: u64,
+        },
+        /// A task left a CPU early (migration, blocking I/O).
+        CpuCancel = "cpu_cancel" {
+            /// Time (ns).
+            at: u64,
+            /// CPU id.
+            cpu: u32,
+            /// Task id.
+            task: u64,
+            /// Work the task still had left (reference ns).
+            rem_ns: u64,
+            /// Total useful work the CPU has delivered (reference ns).
+            delivered_ns: u64,
+            /// Total non-idle time (ns).
+            busy_ns: u64,
+            /// Speed multiplier of the CPU.
+            speed: f64,
+        },
+        /// A task completed on a CPU.
+        CpuDone = "cpu_done" {
+            /// Time (ns).
+            at: u64,
+            /// CPU id.
+            cpu: u32,
+            /// Task id.
+            task: u64,
+            /// Total useful work the CPU has delivered (reference ns).
+            delivered_ns: u64,
+            /// Total non-idle time (ns).
+            busy_ns: u64,
+            /// Speed multiplier of the CPU.
+            speed: f64,
+        },
+        /// A vCPU migration was accepted and its state transfer started.
+        VcpuMigrateStart = "vcpu_migrate_start" {
+            /// Time (ns).
+            at: u64,
+            /// Migrating vCPU.
+            vcpu: u32,
+            /// Source node.
+            from_node: u32,
+            /// Destination node.
+            to_node: u32,
+        },
+        /// A vCPU migration completed and the vCPU resumed on its new slice.
+        VcpuMigrateDone = "vcpu_migrate_done" {
+            /// Time (ns).
+            at: u64,
+            /// Migrated vCPU.
+            vcpu: u32,
+            /// Node it now runs on.
+            node: u32,
+        },
+        /// An inter-processor interrupt was routed to a vCPU.
+        Ipi = "ipi" {
+            /// Time (ns).
+            at: u64,
+            /// Node the IPI originates from.
+            src_node: u32,
+            /// Target vCPU.
+            to_vcpu: u32,
+            /// `"ipi"` (directed wakeup) or `"shootdown"` (TLB broadcast).
+            kind: &'static str,
+        },
+        /// A checkpoint of one slice's memory was taken.
+        Checkpoint = "checkpoint" {
+            /// Time (ns): when this slice's stream completes.
+            at: u64,
+            /// Slice whose pages were captured.
+            node: u32,
+            /// Bytes captured from this slice.
+            bytes: u64,
+        },
+        /// The fault plan dropped a message on a degraded link (or a send
+        /// attempt targeted a crashed node).
+        FabricDrop = "fabric_drop" {
+            /// Time of the dropped attempt (ns).
+            at: u64,
+            /// Sending node.
+            src: u32,
+            /// Receiving node.
+            dst: u32,
+            /// Message class label.
+            class: &'static str,
+        },
+        /// A bounded-retry attempt for a priority-class message whose earlier
+        /// attempt was dropped by the fault plan.
+        FabricRetry = "fabric_retry" {
+            /// Time this attempt goes out (ns) — submission plus backoff.
+            at: u64,
+            /// Sending node.
+            src: u32,
+            /// Receiving node.
+            dst: u32,
+            /// Message class label.
+            class: &'static str,
+            /// 1-based retry attempt number.
+            attempt: u32,
+            /// The policy's bound: attempts never exceed this.
+            max_attempts: u32,
+            /// Backoff waited before this attempt (ns).
+            backoff_ns: u64,
+        },
+        /// A link entered a degradation window (announced on the first send
+        /// the window affects).
+        LinkDegrade = "link_degrade" {
+            /// Time of the first affected send (ns).
+            at: u64,
+            /// Sending node of the degraded link.
+            src: u32,
+            /// Receiving node of the degraded link.
+            dst: u32,
+            /// Drop probability in parts-per-million.
+            loss_ppm: u64,
+            /// Extra wire occupancy per message (ns).
+            extra_ns: u64,
+        },
+        /// A node fail-stopped per the fault plan.
+        NodeCrash = "node_crash" {
+            /// Crash time (ns).
+            at: u64,
+            /// The failed node.
+            node: u32,
+        },
+        /// The failure detector's heartbeat probe to a node went unanswered.
+        HeartbeatMiss = "heartbeat_miss" {
+            /// Probe time (ns).
+            at: u64,
+            /// Probed node.
+            node: u32,
+            /// Consecutive misses including this one.
+            misses: u32,
+        },
+        /// The failure detector crossed its miss threshold and declared a
+        /// node dead, triggering recovery.
+        NodeDeclaredDead = "node_declared_dead" {
+            /// Declaration time (ns).
+            at: u64,
+            /// The suspected node.
+            node: u32,
+            /// Consecutive misses at declaration.
+            misses: u32,
+        },
+        /// A page homed on a dead node was re-homed to the restore target
+        /// (its master copy now comes from the checkpoint image).
+        PageQuarantine = "page_quarantine" {
+            /// Quarantine time (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// The crashed node that owned the master copy.
+            dead: u32,
+            /// The node the restored copy now lives on.
+            to: u32,
+        },
+        /// Recovery finished restoring a dead node's state from the last
+        /// checkpoint image.
+        NodeRestore = "node_restore" {
+            /// Time the restore completes and the node's vCPUs resume (ns).
+            at: u64,
+            /// The crashed node whose state was restored.
+            node: u32,
+            /// Directory pages re-homed during quarantine.
+            pages: u64,
+            /// Wall time of the restore stream (ns).
+            restore_ns: u64,
+        },
+        /// A drain requested a vCPU migration the hypervisor refused.
+        VcpuMigrateRefused = "vcpu_migrate_refused" {
+            /// Time of the refused request (ns).
+            at: u64,
+            /// The vCPU that stayed put.
+            vcpu: u32,
+            /// Node it remains on.
+            from_node: u32,
+            /// Node the drain wanted it on.
+            to_node: u32,
+        },
+        /// A node's memory-pressure level changed (sampled on the DSM fault
+        /// path against the node's resident-page budget).
+        PressureChange = "pressure_change" {
+            /// Time of the access that crossed the threshold (ns).
+            at: u64,
+            /// The node whose pressure changed.
+            node: u32,
+            /// New level label (`"normal"`, `"moderate"`, `"high"`,
+            /// `"critical"`).
+            level: &'static str,
+            /// Resident pages at the transition.
+            resident: u64,
+            /// The node's configured page budget.
+            budget: u64,
+        },
+        /// A reclaim evicted a page's master copy toward a node with headroom
+        /// (the borrow policy). Followed by the usual
+        /// invalidate/transfer/grant events describing the move.
+        PageEvict = "page_evict" {
+            /// Eviction time (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// The pressured node giving the page up (must be the owner).
+            from: u32,
+            /// The node with headroom receiving the master copy.
+            to: u32,
+        },
+        /// A reclaim discarded a page outright (balloon or deflate): the
+        /// directory entry is gone and a later touch refaults as a fresh
+        /// allocation. Preceded by an invalidate per surviving copy.
+        PageRelease = "page_release" {
+            /// Release time (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// The owner the page was released from.
+            node: u32,
+            /// Reclaim policy label (`"balloon"` or `"deflate"`).
+            policy: &'static str,
+        },
+        /// A reclaim demoted a page to the swap tier; its directory entry
+        /// survives but any reuse must swap it back in first.
+        PageSwapOut = "page_swap_out" {
+            /// Swap-out time (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// The pressured node demoting the page.
+            node: u32,
+        },
+        /// A swapped-out page was faulted back in ahead of a reuse. Must
+        /// follow the page's `PageSwapOut`.
+        PageSwapIn = "page_swap_in" {
+            /// Swap-in time (ns).
+            at: u64,
+            /// Page id.
+            page: u64,
+            /// The node paying the swap-in stall.
+            node: u32,
+        },
+        /// The balloon driver inflated, handing guest-free pages back to the
+        /// host (one event per reclaim round).
+        BalloonInflate = "balloon_inflate" {
+            /// Inflation time (ns).
+            at: u64,
+            /// The pressured node.
+            node: u32,
+            /// Pages reclaimed by this inflation.
+            pages: u64,
+        },
+        /// A partition window opened and cut this node off from the rest of
+        /// the fabric (one event per isolated node).
+        PartitionStart = "partition_start" {
+            /// Window start (ns).
+            at: u64,
+            /// An isolated node.
+            node: u32,
+        },
+        /// The partition window closed; this node can reach the fabric again
+        /// (one event per formerly isolated node). A fenced node must still
+        /// rejoin ([`TraceEvent::NodeRejoin`]) before touching the directory.
+        PartitionHeal = "partition_heal" {
+            /// Heal time (ns).
+            at: u64,
+            /// The reconnected node.
+            node: u32,
+        },
+        /// The failure detector bumped the cluster epoch while declaring a
+        /// node dead; the declared node is fenced at the previous epoch.
+        EpochBump = "epoch_bump" {
+            /// Declaration time (ns).
+            at: u64,
+            /// The new cluster epoch.
+            epoch: u64,
+            /// The node fenced by this bump.
+            dead: u32,
+        },
+        /// The directory rejected an access from a fenced node carrying a
+        /// stale epoch: no directory state was mutated.
+        StaleEpochRejected = "stale_epoch_rejected" {
+            /// Rejection time (ns).
+            at: u64,
+            /// The fenced node that issued the access.
+            node: u32,
+            /// The page it tried to touch.
+            page: u64,
+            /// The epoch the node still believes in.
+            node_epoch: u64,
+            /// The cluster epoch it was checked against.
+            cluster_epoch: u64,
+        },
+        /// A fenced node rejoined at the current epoch after a heal: its
+        /// stale copies were discarded and it is donor-eligible again.
+        NodeRejoin = "node_rejoin" {
+            /// Rejoin time (ns).
+            at: u64,
+            /// The rejoining node.
+            node: u32,
+            /// The epoch the node resynced to.
+            epoch: u64,
+            /// Stale page copies discarded during resync.
+            discarded: u64,
+        },
+        /// A cross-shard fleet message arrived at its destination tenant after
+        /// the window-barrier merge (see `hypervisor::fleet`). `depart` is its
+        /// departure time on the source shard; a conservative merge guarantees
+        /// `at ≥ depart + lookahead` and the auditor's `fleet-*` rules hold the
+        /// exchange to per-pair FIFO on top of that.
+        FleetDeliver = "fleet_deliver" {
+            /// Delivery time on the destination shard (ns).
+            at: u64,
+            /// Source shard.
+            src_shard: u32,
+            /// Destination shard.
+            dst_shard: u32,
+            /// Global source tenant.
+            src: u32,
+            /// Global destination tenant.
+            dst: u32,
+            /// Departure time on the source shard (ns).
+            depart: u64,
+            /// Payload bytes.
+            bytes: u64,
+        },
+    }
 }
 
 impl TraceEvent {
-    /// The event's time field (ns). DSM events report their clock hint.
-    pub fn at(&self) -> u64 {
-        use TraceEvent::*;
-        match *self {
-            DsmAlloc { at, .. }
-            | DsmHit { at, .. }
-            | DsmHitBatch { at, .. }
-            | DsmFault { at, .. }
-            | DsmInvalidate { at, .. }
-            | DsmOwnerTransfer { at, .. }
-            | DsmGrant { at, .. }
-            | DsmPrefetch { at, .. }
-            | FabricSend { at, .. }
-            | CpuAdd { at, .. }
-            | CpuCancel { at, .. }
-            | CpuDone { at, .. }
-            | VcpuMigrateStart { at, .. }
-            | VcpuMigrateDone { at, .. }
-            | Ipi { at, .. }
-            | Checkpoint { at, .. }
-            | FabricDrop { at, .. }
-            | FabricRetry { at, .. }
-            | LinkDegrade { at, .. }
-            | NodeCrash { at, .. }
-            | HeartbeatMiss { at, .. }
-            | NodeDeclaredDead { at, .. }
-            | PageQuarantine { at, .. }
-            | NodeRestore { at, .. }
-            | VcpuMigrateRefused { at, .. }
-            | PressureChange { at, .. }
-            | PageEvict { at, .. }
-            | PageRelease { at, .. }
-            | PageSwapOut { at, .. }
-            | PageSwapIn { at, .. }
-            | BalloonInflate { at, .. }
-            | PartitionStart { at, .. }
-            | PartitionHeal { at, .. }
-            | EpochBump { at, .. }
-            | StaleEpochRejected { at, .. }
-            | NodeRejoin { at, .. }
-            | FleetDeliver { at, .. } => at,
-            FabricLinkReset { .. } => 0,
-        }
-    }
-
     /// Renders the event as a single JSON object (see [`Self::write_json`]).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write_json(&mut out);
         out
     }
+}
 
-    /// Appends the event to `out` as a single JSON object (one JSONL line,
-    /// without the newline).
-    ///
-    /// All fields are integers, booleans, `f64` speeds or `&'static str`
-    /// labels, so no escaping is required beyond quoting. Integers go
-    /// through a small decimal writer; speeds keep `core::fmt`'s `Display`
-    /// form.
-    pub fn write_json(&self, out: &mut String) {
-        use TraceEvent::*;
-        match *self {
-            DsmAlloc { at, page, home } => Json::open(out, ev!("dsm_alloc"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("home"), home),
-            DsmHit {
-                at,
-                page,
-                node,
-                write,
-            } => Json::open(out, ev!("dsm_hit"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node)
-                .flag(key!("write"), write),
-            DsmHitBatch {
-                at,
-                page,
-                len,
-                node,
-                write,
-            } => Json::open(out, ev!("dsm_hit_batch"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("len"), len)
-                .num(key!("node"), node)
-                .flag(key!("write"), write),
-            DsmFault {
-                at,
-                page,
-                node,
-                kind,
-            } => Json::open(out, ev!("dsm_fault"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node)
-                .label(key!("kind"), kind),
-            DsmInvalidate { at, page, node } => Json::open(out, ev!("dsm_invalidate"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node),
-            DsmOwnerTransfer { at, page, from, to } => Json::open(out, ev!("dsm_owner_transfer"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("from"), from)
-                .num(key!("to"), to),
-            DsmGrant {
-                at,
-                page,
-                node,
-                exclusive,
-            } => Json::open(out, ev!("dsm_grant"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node)
-                .flag(key!("exclusive"), exclusive),
-            DsmPrefetch {
-                at,
-                page,
-                node,
-                owner,
-            } => Json::open(out, ev!("dsm_prefetch"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node)
-                .num(key!("owner"), owner),
-            FabricSend {
-                at,
-                src,
-                dst,
-                class,
-                prio,
-                bytes,
-                queued_ns,
-                serialize_ns,
-                bound_ns,
-                deliver_at,
-            } => Json::open(out, ev!("fabric_send"))
-                .num(key!("at"), at)
-                .num(key!("src"), src)
-                .num(key!("dst"), dst)
-                .label(key!("class"), class)
-                .flag(key!("prio"), prio)
-                .num(key!("bytes"), bytes)
-                .num(key!("queued_ns"), queued_ns)
-                .num(key!("serialize_ns"), serialize_ns)
-                .num(key!("bound_ns"), bound_ns)
-                .num(key!("deliver_at"), deliver_at),
-            FabricLinkReset { src, dst } => Json::open(out, ev!("fabric_link_reset"))
-                .num(key!("src"), src)
-                .num(key!("dst"), dst),
-            CpuAdd {
-                at,
-                cpu,
-                task,
-                work_ns,
-            } => Json::open(out, ev!("cpu_add"))
-                .num(key!("at"), at)
-                .num(key!("cpu"), cpu)
-                .num(key!("task"), task)
-                .num(key!("work_ns"), work_ns),
-            CpuCancel {
-                at,
-                cpu,
-                task,
-                rem_ns,
-                delivered_ns,
-                busy_ns,
-                speed,
-            } => Json::open(out, ev!("cpu_cancel"))
-                .num(key!("at"), at)
-                .num(key!("cpu"), cpu)
-                .num(key!("task"), task)
-                .num(key!("rem_ns"), rem_ns)
-                .num(key!("delivered_ns"), delivered_ns)
-                .num(key!("busy_ns"), busy_ns)
-                .speed(key!("speed"), speed),
-            CpuDone {
-                at,
-                cpu,
-                task,
-                delivered_ns,
-                busy_ns,
-                speed,
-            } => Json::open(out, ev!("cpu_done"))
-                .num(key!("at"), at)
-                .num(key!("cpu"), cpu)
-                .num(key!("task"), task)
-                .num(key!("delivered_ns"), delivered_ns)
-                .num(key!("busy_ns"), busy_ns)
-                .speed(key!("speed"), speed),
-            VcpuMigrateStart {
-                at,
-                vcpu,
-                from_node,
-                to_node,
-            } => Json::open(out, ev!("vcpu_migrate_start"))
-                .num(key!("at"), at)
-                .num(key!("vcpu"), vcpu)
-                .num(key!("from_node"), from_node)
-                .num(key!("to_node"), to_node),
-            VcpuMigrateDone { at, vcpu, node } => Json::open(out, ev!("vcpu_migrate_done"))
-                .num(key!("at"), at)
-                .num(key!("vcpu"), vcpu)
-                .num(key!("node"), node),
-            Ipi {
-                at,
-                src_node,
-                to_vcpu,
-                kind,
-            } => Json::open(out, ev!("ipi"))
-                .num(key!("at"), at)
-                .num(key!("src_node"), src_node)
-                .num(key!("to_vcpu"), to_vcpu)
-                .label(key!("kind"), kind),
-            Checkpoint { at, node, bytes } => Json::open(out, ev!("checkpoint"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("bytes"), bytes),
-            FabricDrop {
-                at,
-                src,
-                dst,
-                class,
-            } => Json::open(out, ev!("fabric_drop"))
-                .num(key!("at"), at)
-                .num(key!("src"), src)
-                .num(key!("dst"), dst)
-                .label(key!("class"), class),
-            FabricRetry {
-                at,
-                src,
-                dst,
-                class,
-                attempt,
-                max_attempts,
-                backoff_ns,
-            } => Json::open(out, ev!("fabric_retry"))
-                .num(key!("at"), at)
-                .num(key!("src"), src)
-                .num(key!("dst"), dst)
-                .label(key!("class"), class)
-                .num(key!("attempt"), attempt)
-                .num(key!("max_attempts"), max_attempts)
-                .num(key!("backoff_ns"), backoff_ns),
-            LinkDegrade {
-                at,
-                src,
-                dst,
-                loss_ppm,
-                extra_ns,
-            } => Json::open(out, ev!("link_degrade"))
-                .num(key!("at"), at)
-                .num(key!("src"), src)
-                .num(key!("dst"), dst)
-                .num(key!("loss_ppm"), loss_ppm)
-                .num(key!("extra_ns"), extra_ns),
-            NodeCrash { at, node } => Json::open(out, ev!("node_crash"))
-                .num(key!("at"), at)
-                .num(key!("node"), node),
-            HeartbeatMiss { at, node, misses } => Json::open(out, ev!("heartbeat_miss"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("misses"), misses),
-            NodeDeclaredDead { at, node, misses } => Json::open(out, ev!("node_declared_dead"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("misses"), misses),
-            PageQuarantine { at, page, dead, to } => Json::open(out, ev!("page_quarantine"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("dead"), dead)
-                .num(key!("to"), to),
-            NodeRestore {
-                at,
-                node,
-                pages,
-                restore_ns,
-            } => Json::open(out, ev!("node_restore"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("pages"), pages)
-                .num(key!("restore_ns"), restore_ns),
-            VcpuMigrateRefused {
-                at,
-                vcpu,
-                from_node,
-                to_node,
-            } => Json::open(out, ev!("vcpu_migrate_refused"))
-                .num(key!("at"), at)
-                .num(key!("vcpu"), vcpu)
-                .num(key!("from_node"), from_node)
-                .num(key!("to_node"), to_node),
-            PressureChange {
-                at,
-                node,
-                level,
-                resident,
-                budget,
-            } => Json::open(out, ev!("pressure_change"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .label(key!("level"), level)
-                .num(key!("resident"), resident)
-                .num(key!("budget"), budget),
-            PageEvict { at, page, from, to } => Json::open(out, ev!("page_evict"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("from"), from)
-                .num(key!("to"), to),
-            PageRelease {
-                at,
-                page,
-                node,
-                policy,
-            } => Json::open(out, ev!("page_release"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node)
-                .label(key!("policy"), policy),
-            PageSwapOut { at, page, node } => Json::open(out, ev!("page_swap_out"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node),
-            PageSwapIn { at, page, node } => Json::open(out, ev!("page_swap_in"))
-                .num(key!("at"), at)
-                .num(key!("page"), page)
-                .num(key!("node"), node),
-            BalloonInflate { at, node, pages } => Json::open(out, ev!("balloon_inflate"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("pages"), pages),
-            PartitionStart { at, node } => Json::open(out, ev!("partition_start"))
-                .num(key!("at"), at)
-                .num(key!("node"), node),
-            PartitionHeal { at, node } => Json::open(out, ev!("partition_heal"))
-                .num(key!("at"), at)
-                .num(key!("node"), node),
-            EpochBump { at, epoch, dead } => Json::open(out, ev!("epoch_bump"))
-                .num(key!("at"), at)
-                .num(key!("epoch"), epoch)
-                .num(key!("dead"), dead),
-            StaleEpochRejected {
-                at,
-                node,
-                page,
-                node_epoch,
-                cluster_epoch,
-            } => Json::open(out, ev!("stale_epoch_rejected"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("page"), page)
-                .num(key!("node_epoch"), node_epoch)
-                .num(key!("cluster_epoch"), cluster_epoch),
-            NodeRejoin {
-                at,
-                node,
-                epoch,
-                discarded,
-            } => Json::open(out, ev!("node_rejoin"))
-                .num(key!("at"), at)
-                .num(key!("node"), node)
-                .num(key!("epoch"), epoch)
-                .num(key!("discarded"), discarded),
-            FleetDeliver {
-                at,
-                src_shard,
-                dst_shard,
-                src,
-                dst,
-                depart,
-                bytes,
-            } => Json::open(out, ev!("fleet_deliver"))
-                .num(key!("at"), at)
-                .num(key!("src_shard"), src_shard)
-                .num(key!("dst_shard"), dst_shard)
-                .num(key!("src"), src)
-                .num(key!("dst"), dst)
-                .num(key!("depart"), depart)
-                .num(key!("bytes"), bytes),
-        }
-        .close();
+/// A field value [`TraceEvent::write_json`] writes without escaping.
+trait JsonValue {
+    /// Appends the value's JSON form to `out`.
+    fn write_to(&self, out: &mut String);
+}
+
+impl JsonValue for u64 {
+    fn write_to(&self, out: &mut String) {
+        push_u64(out, *self);
     }
 }
 
-/// Writes one flat JSON object field by field: the `ev!` head, then
-/// the `key!` literal and value per field, then `}` on [`Json::close`].
-struct Json<'a>(&'a mut String);
-
-impl<'a> Json<'a> {
-    fn open(out: &'a mut String, head: &str) -> Self {
-        out.push_str(head);
-        Json(out)
+impl JsonValue for u32 {
+    fn write_to(&self, out: &mut String) {
+        push_u64(out, u64::from(*self));
     }
+}
 
-    fn num(self, key: &str, v: impl Into<u64>) -> Self {
-        self.0.push_str(key);
-        push_u64(self.0, v.into());
-        self
+impl JsonValue for bool {
+    fn write_to(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
+}
 
-    fn flag(self, key: &str, v: bool) -> Self {
-        self.0.push_str(key);
-        self.0.push_str(if v { "true" } else { "false" });
-        self
+impl JsonValue for &'static str {
+    fn write_to(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
     }
+}
 
-    fn label(self, key: &str, v: &str) -> Self {
-        self.0.push_str(key);
-        self.0.push('"');
-        self.0.push_str(v);
-        self.0.push('"');
-        self
-    }
-
-    fn speed(self, key: &str, v: f64) -> Self {
+impl JsonValue for f64 {
+    fn write_to(&self, out: &mut String) {
         use std::fmt::Write as _;
-        self.0.push_str(key);
         // Writing into a `String` cannot fail.
-        let _ = write!(self.0, "{v}");
-        self
-    }
-
-    fn close(self) {
-        self.0.push('}');
+        let _ = write!(out, "{self}");
     }
 }
 
@@ -1479,6 +1167,32 @@ mod tests {
         let mut jsonl = expected.join("\n");
         jsonl.push('\n');
         assert_eq!(t.to_jsonl(), jsonl);
+    }
+
+    /// A table entry left out of [`every_variant`] would have no pinned
+    /// line: the fixture must render every event name, once per run of
+    /// extra `speed` samples, in table order — and each name must be its
+    /// variant's name in snake case.
+    #[test]
+    fn every_variant_pins_each_table_entry() {
+        let jsonl: String = every_variant()
+            .iter()
+            .map(|ev| ev.to_json() + "\n")
+            .collect();
+        let mut rendered: Vec<&str> = jsonl.lines().filter_map(|l| l.split('"').nth(3)).collect();
+        rendered.dedup();
+        let names: Vec<&str> = EVENT_NAMES.iter().map(|&(_, ev)| ev).collect();
+        assert_eq!(rendered, names);
+        for &(variant, ev) in EVENT_NAMES {
+            let mut snake = String::new();
+            for c in variant.chars() {
+                if c.is_ascii_uppercase() && !snake.is_empty() {
+                    snake.push('_');
+                }
+                snake.push(c.to_ascii_lowercase());
+            }
+            assert_eq!(snake, ev, "{variant}");
+        }
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Returns the size in mebibytes as a float.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Number of 4 KiB pages needed to hold this many bytes (rounded up).
     pub const fn pages_4k(self) -> u64 {
         self.0.div_ceil(4096)

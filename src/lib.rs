@@ -25,9 +25,7 @@ pub use comm::{
     ClassWeights, Fabric, FabricError, LinkProfile, Message, MsgClass, NodeId, Scheduling,
     StackProfile, Urgency,
 };
-pub use hypervisor::{
-    MemoryConfig, MemoryPressure, MemoryReclaimer, PressureThresholds, ReclaimPolicy,
-};
+pub use hypervisor::{MemoryConfig, MemoryPressure, PressureThresholds, ReclaimPolicy};
 pub use sim_core::audit::{audit, Violation};
 pub use sim_core::time::SimTime;
 pub use sim_core::trace::Tracer;
