@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 
 pub mod fragmentation;
+mod free_index;
 pub mod machine;
 
 pub use fragmentation::FragmentationReport;

@@ -4,12 +4,12 @@
 //! incremental indices sized for data-center simulations (thousands of
 //! nodes, tens of thousands of VM events):
 //!
-//! * a **free-CPU bucket index** — for each possible free-CPU count, the
-//!   set of `(free RAM, node)` pairs currently at that count — so
-//!   placement queries ([`Cluster::best_fit`], [`Cluster::first_fit`],
-//!   [`Cluster::worst_fit`]) and fragment enumeration
-//!   ([`Cluster::fragments_ascending`]) touch only candidate machines
-//!   instead of scanning the whole cluster per arrival, and
+//! * a **free-CPU bucket index** — for each possible free-CPU count, a
+//!   bitset of the nodes currently at that count, over a dense free-RAM
+//!   column — so placement queries ([`Cluster::best_fit`],
+//!   [`Cluster::first_fit`], [`Cluster::worst_fit`]) and fragment
+//!   enumeration ([`Cluster::fragments_ascending`]) touch only candidate
+//!   machines instead of scanning the whole cluster per arrival, and
 //! * a **VM → nodes ledger** — which machines hold a piece of each VM,
 //!   a dense table indexed by VM id — so [`Cluster::nodes_of`] and
 //!   consolidation are O(nodes of that VM), not O(cluster).
@@ -17,11 +17,10 @@
 //! Both indices are updated on every `allocate`/`release`/`migrate` and
 //! can be audited against a fresh scan with [`Cluster::check_invariants`].
 
-use std::collections::BTreeSet;
-
 use comm::NodeId;
 use sim_core::units::ByteSize;
 
+use crate::free_index::FreeIndex;
 use crate::VmId;
 
 /// A class of physical device a machine can host.
@@ -209,9 +208,8 @@ impl Machine {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     machines: Vec<Machine>,
-    /// Bucket index: `by_free[f]` holds `(free RAM bytes, node index)` for
-    /// every machine with exactly `f` free pCPUs.
-    by_free: Vec<BTreeSet<(u64, u32)>>,
+    /// Bucket index: every machine by exact free pCPUs, with its free RAM.
+    index: FreeIndex,
     /// Ledger: `vm_nodes[vm]` lists the machines on which the VM currently
     /// holds resources, ascending; an empty list means it holds none.
     vm_nodes: Vec<Vec<u32>>,
@@ -224,6 +222,13 @@ pub struct Cluster {
     clock: u64,
     /// Per-node last-mutation clock values.
     node_touched: Vec<u64>,
+}
+
+/// `(free pCPUs, free RAM bytes)` of each machine, in node order.
+fn free_of(machines: &[Machine]) -> impl ExactSizeIterator<Item = (u32, u64)> + '_ {
+    machines
+        .iter()
+        .map(|m| (m.free_cpus(), m.free_ram().as_u64()))
 }
 
 /// Errors returned by the cluster allocator.
@@ -261,16 +266,12 @@ impl Cluster {
     pub fn homogeneous(n: usize, spec: MachineSpec) -> Self {
         let machines: Vec<Machine> = (0..n).map(|_| Machine::new(spec.clone())).collect();
         let max_cpus = machines.iter().map(|m| m.spec.cpus).max().unwrap_or(0);
-        let mut by_free: Vec<BTreeSet<(u64, u32)>> =
-            (0..=max_cpus as usize).map(|_| BTreeSet::new()).collect();
-        for (i, m) in machines.iter().enumerate() {
-            by_free[m.free_cpus() as usize].insert((m.free_ram().as_u64(), i as u32));
-        }
+        let index = FreeIndex::new(max_cpus as usize + 1, free_of(&machines));
         let total_free = machines.iter().map(|m| u64::from(m.free_cpus())).sum();
         let node_touched = vec![0; n];
         Cluster {
             machines,
-            by_free,
+            index,
             vm_nodes: Vec::new(),
             total_free,
             clock: 0,
@@ -305,21 +306,14 @@ impl Cluster {
             .map(|(i, m)| (NodeId::from_usize(i), m))
     }
 
-    /// Removes node `i` from the bucket index (before a mutation).
-    fn unindex(&mut self, i: usize) {
+    /// Brings node `i`'s index entry and the free counter up to date after
+    /// a mutation that found it with `was` free pCPUs, and stamps the
+    /// change clock.
+    fn reindex(&mut self, i: usize, was: u32) {
         let m = &self.machines[i];
-        let removed =
-            self.by_free[m.free_cpus() as usize].remove(&(m.free_ram().as_u64(), i as u32));
-        debug_assert!(removed, "node {i} missing from free-CPU index");
-        self.total_free -= u64::from(m.free_cpus());
-    }
-
-    /// Re-inserts node `i` into the bucket index (after a mutation) and
-    /// stamps the change clock.
-    fn reindex(&mut self, i: usize) {
-        let m = &self.machines[i];
-        self.by_free[m.free_cpus() as usize].insert((m.free_ram().as_u64(), i as u32));
-        self.total_free += u64::from(m.free_cpus());
+        let now = m.free_cpus();
+        self.index.update(i, was, now, m.free_ram().as_u64());
+        self.total_free = self.total_free - u64::from(was) + u64::from(now);
         self.clock += 1;
         self.node_touched[i] = self.clock;
     }
@@ -337,9 +331,9 @@ impl Cluster {
         if m.free_cpus() < req.cpus || m.free_ram().as_u64() < req.ram.as_u64() {
             return Err(AllocError::Insufficient { node });
         }
-        self.unindex(i);
-        self.machines[i].add(vm, req);
-        self.reindex(i);
+        let was = m.free_cpus();
+        m.add(vm, req);
+        self.reindex(i, was);
         if self.vm_nodes.len() <= vm.index() {
             self.vm_nodes.resize_with(vm.index() + 1, Vec::new);
         }
@@ -366,9 +360,9 @@ impl Cluster {
         if entry.cpus < req.cpus || entry.ram.as_u64() < req.ram.as_u64() {
             return Err(AllocError::NotAllocated { node });
         }
-        self.unindex(i);
+        let was = self.machines[i].free_cpus();
         let gone = self.machines[i].sub(vm, req);
-        self.reindex(i);
+        self.reindex(i, was);
         if gone {
             let nodes = &mut self.vm_nodes[vm.index()];
             if let Ok(k) = nodes.binary_search(&(i as u32)) {
@@ -378,23 +372,19 @@ impl Cluster {
         Ok(())
     }
 
-    /// Releases every allocation of `vm` across the cluster; returns the
-    /// nodes that held a piece of it.
-    pub fn release_vm(&mut self, vm: VmId) -> Vec<NodeId> {
+    /// Releases every allocation of `vm` across the cluster.
+    pub fn release_vm(&mut self, vm: VmId) {
         let Some(held) = self.vm_nodes.get_mut(vm.index()).map(std::mem::take) else {
-            return Vec::new();
+            return;
         };
-        let mut nodes = Vec::with_capacity(held.len());
         for i in held {
             let i = i as usize;
-            self.unindex(i);
+            let was = self.machines[i].free_cpus();
             self.machines[i]
                 .take(vm)
                 .expect("ledger said VM lives here");
-            self.reindex(i);
-            nodes.push(NodeId::from_usize(i));
+            self.reindex(i, was);
         }
-        nodes
     }
 
     /// Moves part of a VM's allocation from one node to another (the
@@ -429,7 +419,7 @@ impl Cluster {
     /// The most free pCPUs on any one machine (O(buckets)): no single
     /// machine fits a request for more.
     pub fn largest_free_block(&self) -> u32 {
-        let top = self.by_free.iter().rposition(|b| !b.is_empty());
+        let top = (0..self.index.buckets()).rposition(|f| !self.index.is_empty(f));
         top.map_or(0, |cpus| cpus as u32)
     }
 
@@ -461,64 +451,64 @@ impl Cluster {
 
     /// Best-fit placement query: among machines that fit `req`, the one
     /// with the least free CPUs left over, then least free RAM, then
-    /// lowest node id. O(buckets scanned), not O(cluster).
+    /// lowest node id. Scans the buckets from the request size up and
+    /// stops in the first that holds a fitting machine, not O(cluster).
     pub fn best_fit(&self, req: ResourceRequest) -> Option<NodeId> {
         let ram = req.ram.as_u64();
-        for bucket in self.by_free.iter().skip(req.cpus as usize) {
-            if let Some(&(_, i)) = bucket.range((ram, 0)..).next() {
-                return Some(NodeId::new(i));
-            }
-        }
-        None
+        (req.cpus as usize..self.index.buckets())
+            .find_map(|f| self.index.least_fitting(f, ram))
+            .map(NodeId::new)
     }
 
     /// First-fit placement query: the lowest-numbered machine that fits
     /// `req`.
     pub fn first_fit(&self, req: ResourceRequest) -> Option<NodeId> {
-        let ram = req.ram.as_u64();
-        let mut best: Option<u32> = None;
-        for bucket in self.by_free.iter().skip(req.cpus as usize) {
-            for &(_, i) in bucket.range((ram, 0)..) {
-                if best.is_none_or(|b| i < b) {
-                    best = Some(i);
-                }
-            }
-        }
-        best.map(NodeId::new)
+        self.index
+            .first_fitting(req.cpus as usize, req.ram.as_u64())
+            .map(NodeId::new)
     }
 
     /// Worst-fit placement query: among machines that fit `req`, the one
     /// with the most free CPUs, then least free RAM, then lowest node id.
     pub fn worst_fit(&self, req: ResourceRequest) -> Option<NodeId> {
         let ram = req.ram.as_u64();
-        for bucket in self.by_free.iter().skip(req.cpus as usize).rev() {
-            if let Some(&(_, i)) = bucket.range((ram, 0)..).next() {
-                return Some(NodeId::new(i));
-            }
-        }
-        None
+        (req.cpus as usize..self.index.buckets())
+            .rev()
+            .find_map(|f| self.index.least_fitting(f, ram))
+            .map(NodeId::new)
     }
 
     /// Machines with at least one free pCPU, smallest free block first
     /// (then least free RAM, then node id) — the MinFragmentation
-    /// harvesting order. Lazily walks the bucket index, so callers that
-    /// stop early (enough fragments gathered) never touch the rest of the
-    /// cluster.
+    /// harvesting order. Lazily walks the bucket index, sorting a bucket
+    /// only when the walk reaches it, so callers that stop early (enough
+    /// fragments gathered) never touch the rest of the cluster.
     pub fn fragments_ascending(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_free
-            .iter()
-            .skip(1)
-            .flat_map(|b| b.iter().map(|&(_, i)| NodeId::new(i)))
+        self.fragments(1..self.index.buckets())
     }
 
-    /// Machines with at least one free pCPU, largest free block first —
-    /// the MinNodes harvesting order.
+    /// Machines with at least one free pCPU, largest free block first
+    /// (then least free RAM, then node id) — the MinNodes harvesting
+    /// order.
     pub fn fragments_descending(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_free
-            .iter()
-            .skip(1)
-            .rev()
-            .flat_map(|b| b.iter().map(|&(_, i)| NodeId::new(i)))
+        self.fragments((1..self.index.buckets()).rev())
+    }
+
+    /// The machines of `buckets`, in that bucket order, each bucket by
+    /// `(free RAM, node id)`.
+    fn fragments(
+        &self,
+        buckets: impl Iterator<Item = usize> + 'static,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        let mut buckets = buckets.filter(|&f| !self.index.is_empty(f));
+        // One buffer for the whole walk, sorted largest first per bucket.
+        let mut buf = Vec::new();
+        std::iter::from_fn(move || loop {
+            if let Some((_, i)) = buf.pop() {
+                return Some(NodeId::new(i));
+            }
+            self.index.sorted_desc_into(buckets.next()?, &mut buf);
+        })
     }
 
     /// Audits every incremental structure against a fresh scan: per-machine
@@ -544,12 +534,6 @@ impl Cluster {
                 m.spec.ram.as_u64()
             );
             total_free += u64::from(m.free_cpus());
-            let key = (m.free_ram().as_u64(), i as u32);
-            assert!(
-                self.by_free[m.free_cpus() as usize].contains(&key),
-                "node {i}: missing from free-CPU bucket {}",
-                m.free_cpus()
-            );
             assert!(
                 m.allocs.windows(2).all(|w| w[0].0 < w[1].0),
                 "node {i}: allocations not strictly ascending by VM id"
@@ -564,8 +548,7 @@ impl Cluster {
             }
         }
         assert_eq!(self.total_free, total_free, "stale total_free counter");
-        let indexed: usize = self.by_free.iter().map(BTreeSet::len).sum();
-        assert_eq!(indexed, self.machines.len(), "free-CPU index size drift");
+        self.index.check(free_of(&self.machines));
         for (v, nodes) in self.vm_nodes.iter().enumerate() {
             let vm = VmId::from_usize(v);
             assert!(
@@ -682,8 +665,8 @@ mod tests {
         let vm = VmId::new(9);
         c.allocate(NodeId::new(0), vm, small_req(1)).unwrap();
         c.allocate(NodeId::new(2), vm, small_req(1)).unwrap();
-        let nodes = c.release_vm(vm);
-        assert_eq!(nodes, vec![NodeId::new(0), NodeId::new(2)]);
+        assert_eq!(c.nodes_of(vm), vec![NodeId::new(0), NodeId::new(2)]);
+        c.release_vm(vm);
         assert_eq!(c.total_free_cpus(), 48);
         assert!(c.nodes_of(vm).is_empty());
         c.check_invariants();
@@ -803,11 +786,13 @@ mod tests {
         assert_eq!(ids, vec![VmId::new(2), VmId::new(5)]);
         assert!(c.nodes_of(VmId::new(3)).is_empty());
         assert!(c.nodes_of(VmId::new(1_000)).is_empty());
-        assert_eq!(c.release_vm(VmId::new(3)), Vec::new());
+        c.release_vm(VmId::new(3));
+        assert!(c.nodes_of(VmId::new(3)).is_empty());
         assert_eq!(
-            c.release_vm(VmId::new(2)),
+            c.nodes_of(VmId::new(2)),
             vec![NodeId::new(0), NodeId::new(1)]
         );
+        c.release_vm(VmId::new(2));
         // A departed VM keeps an empty ledger entry, which is not drift.
         assert!(c.nodes_of(VmId::new(2)).is_empty());
         c.check_invariants();

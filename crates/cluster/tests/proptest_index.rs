@@ -3,7 +3,10 @@
 //! must stay consistent with a fresh scan under arbitrary interleavings
 //! of arrivals, departures, and slice migrations — the op mix the
 //! data-center simulator drives at scale. VM ids are allocated with gaps,
-//! so the dense ledger holds entries for ids that never lived.
+//! so the dense ledger holds entries for ids that never lived. Cluster
+//! sizes reach past 64 and 128 nodes, where the index's node bitsets grow
+//! a second and a third word, and arrivals pinned to a drawn node put
+//! load on the high ids that best fit alone would leave idle.
 
 use std::cmp::Reverse;
 
@@ -44,6 +47,21 @@ fn naive_worst_fit(c: &Cluster, req: ResourceRequest) -> Option<NodeId> {
         .map(|(n, _)| n)
 }
 
+/// Machines with a free pCPU, sorted by `key`, straight off a full
+/// machine scan: the reference for the fragment walks.
+fn naive_fragments<K: Ord>(c: &Cluster, key: impl Fn(u32, u64, NodeId) -> K) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = c
+        .machines()
+        .filter(|(_, m)| m.free_cpus() > 0)
+        .map(|(n, _)| n)
+        .collect();
+    nodes.sort_by_key(|&n| {
+        let m = c.machine(n);
+        key(m.free_cpus(), m.free_ram().as_u64(), n)
+    });
+    nodes
+}
+
 /// The nodes hosting `vm`, ascending, straight off a full machine scan.
 fn naive_homes(c: &Cluster, vm: VmId) -> Vec<NodeId> {
     c.machines()
@@ -63,14 +81,21 @@ fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError
     let mut departed: Vec<VmId> = Vec::new();
     let mut next_vm = 0u32;
     for &(opcode, selector, cpus, shape) in ops {
-        match opcode % 4 {
-            // Arrival: place via best fit if anything fits.
-            0 | 1 => {
+        match opcode % 5 {
+            // Arrival: place via best fit if anything fits, or (opcode 4)
+            // on the drawn node if it fits there.
+            0 | 1 | 4 => {
                 let req = request(cpus % 8 + 1, shape);
-                if let Some(node) = c.best_fit(req) {
+                let node = if opcode % 5 == 4 {
+                    let n = NodeId::from_usize(selector as usize % nodes);
+                    c.machine(n).fits(req).then_some(n)
+                } else {
+                    c.best_fit(req)
+                };
+                if let Some(node) = node {
                     let vm = VmId::new(next_vm);
                     next_vm += 1 + selector % 3;
-                    c.allocate(node, vm, req).expect("best_fit said it fits");
+                    c.allocate(node, vm, req).expect("checked that it fits");
                     live.push((vm, u64::from(req.cpus), req.ram.as_u64()));
                 }
             }
@@ -146,6 +171,17 @@ fn replay(nodes: usize, ops: &[Op], audit: bool) -> Result<String, TestCaseError
             prop_assert_eq!(c.best_fit(probe), naive_best_fit(&c, probe));
             prop_assert_eq!(c.first_fit(probe), naive_first_fit(&c, probe));
             prop_assert_eq!(c.worst_fit(probe), naive_worst_fit(&c, probe));
+            // The fragment walks and the largest block match a sorted scan.
+            prop_assert_eq!(
+                c.fragments_ascending().collect::<Vec<_>>(),
+                naive_fragments(&c, |f, r, n| (f, r, n.index()))
+            );
+            prop_assert_eq!(
+                c.fragments_descending().collect::<Vec<_>>(),
+                naive_fragments(&c, |f, r, n| (Reverse(f), r, n.index()))
+            );
+            let largest = c.machines().map(|(_, m)| m.free_cpus()).max();
+            prop_assert_eq!(c.largest_free_block(), largest.unwrap_or(0));
         }
     }
     // Digest: the exact final allocation state.
@@ -169,8 +205,8 @@ proptest! {
     /// a fresh scan.
     #[test]
     fn op_sequences_keep_ledger_consistent(
-        nodes in 2usize..7,
-        ops in proptest::collection::vec((0u32..4, any_selector(), 0u32..16, 0u32..3), 1..60),
+        nodes in any_nodes(),
+        ops in proptest::collection::vec((0u32..5, any_selector(), 0u32..16, 0u32..3), 1..80),
     ) {
         replay(nodes, &ops, true)?;
     }
@@ -178,13 +214,19 @@ proptest! {
     /// Replaying the same script twice produces byte-identical state.
     #[test]
     fn replay_is_deterministic(
-        nodes in 2usize..7,
-        ops in proptest::collection::vec((0u32..4, any_selector(), 0u32..16, 0u32..3), 1..60),
+        nodes in any_nodes(),
+        ops in proptest::collection::vec((0u32..5, any_selector(), 0u32..16, 0u32..3), 1..80),
     ) {
         let a = replay(nodes, &ops, false)?;
         let b = replay(nodes, &ops, false)?;
         prop_assert_eq!(a, b);
     }
+}
+
+/// Cluster sizes: a few nodes (tight, so ops collide), or just either
+/// side of the 64- and 128-node word boundaries of the index's bitsets.
+fn any_nodes() -> impl Strategy<Value = usize> {
+    prop_oneof![2usize..7, 60usize..70, 124usize..134]
 }
 
 fn any_selector() -> std::ops::Range<u32> {

@@ -1,9 +1,13 @@
 //! Single-machine placement: best-fit (the paper's BFF baseline) plus
 //! first-fit and worst-fit comparison policies.
 //!
-//! All three ride the cluster's free-CPU bucket index, so a pick is
-//! O(buckets scanned) instead of a full scan over thousands of machines —
-//! the enabling change for the data-center-scale study.
+//! All three ride the cluster's free-CPU bucket index instead of a full
+//! scan over thousands of machines — the enabling change for the
+//! data-center-scale study. Best fit and worst fit skip empty buckets in
+//! one load each and read the free RAM of the members of the first bucket
+//! that holds a fit, stopping early at a member on the bucket's RAM
+//! floor; first fit reads the buckets at or above the request a 64-node
+//! word at a time, up to the first fitting id.
 
 use cluster::{Cluster, ResourceRequest, VmId};
 use comm::NodeId;

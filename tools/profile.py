@@ -7,12 +7,14 @@ Runs CMD as a child process and traces only that child (its main thread)
 with PTRACE_SEIZE. Every interval it interrupts the child, reads `rip` and
 `rbp`, and walks the saved-`rbp` chain through /proc/<pid>/mem. When CMD
 exits, the addresses are symbolized with `addr2line -f -i -C` (inlined
-frames included) and three tables are printed:
+frames included) and four tables are printed:
 
 * self: the innermost function at `rip`, share of all samples;
 * inclusive: every function anywhere on the stack, counted once per sample;
 * per group: samples whose stack holds a function matching `--group`
-  (default: the paper figures, `figNN_...`), by first match from the root.
+  (default: the paper figures, `figNN_...`), by first match from the root;
+* libc leaf callers: for samples whose leaf is in libc, the function that
+  called into libc (see below).
 
 The walk needs frame pointers, so build the target with
 
@@ -21,6 +23,14 @@ The walk needs frame pointers, so build the target with
 
 Code without frame pointers (libm, libc) still shows at the leaf, but
 the leaf's immediate caller is then missing from that sample's stack.
+For a libc leaf the sampler therefore also scans the first
+`LEAF_WINDOW` bytes above `rsp` for words that point into the
+executable's code: the first is the return address of the call into
+libc (or, failing that, a stale one left on the stack). When that call
+site lies in a library helper (`RawVec::grow`, `Vec::push`), the next
+such words name its callers, and the table shows the first function
+outside `alloc`, `core`, `std` and the allocator shim. Samples where no
+word is found count as "(not found)".
 x86-64 Linux only; needs nothing beyond the Python standard library and
 binutils' `addr2line`.
 """
@@ -28,6 +38,7 @@ binutils' `addr2line`.
 import argparse
 import collections
 import ctypes
+import itertools
 import os
 import re
 import signal
@@ -42,6 +53,8 @@ PTRACE_SEIZE = 0x4206
 PTRACE_INTERRUPT = 0x4207
 PTRACE_EVENT_STOP = 128
 MAX_DEPTH = 512
+LEAF_WINDOW = 1024  # Stack bytes scanned above rsp for a libc leaf's caller.
+LEAF_CALLERS = 8  # Code addresses kept from that window.
 
 # struct user_regs_struct (x86-64): 27 unsigned longs.
 REG_RBP, REG_RIP, REG_RSP = 4, 16, 19
@@ -103,10 +116,33 @@ def walk(mem, rip, rbp, rsp):
     return stack
 
 
+def code_of(pid, maps):
+    """`(executable code ranges, libc code ranges)` of the mapped files."""
+    exe = os.readlink(f"/proc/{pid}/exe")
+    code = [(lo, hi, path) for lo, hi, _, x, path in maps if x]
+    return ([(lo, hi) for lo, hi, path in code if path == exe],
+            [(lo, hi) for lo, hi, path in code if os.path.basename(path).startswith("libc")])
+
+
+def libc_callers(mem, rsp, text):
+    """The first `LEAF_CALLERS` words in the `LEAF_WINDOW` bytes above
+    `rsp` that point into `text` (the executable's code), innermost
+    first, as call-site addresses."""
+    try:
+        window = os.pread(mem, LEAF_WINDOW, rsp)
+    except OSError:
+        return []
+    words = struct.iter_unpack("<Q", window[: len(window) // 8 * 8])
+    hits = (w - 1 for (w,) in words if any(lo <= w < hi for lo, hi in text))
+    return list(itertools.islice(hits, LEAF_CALLERS))
+
+
 def sample(pid, interval):
-    """Samples the child until it exits; returns its stacks and the file
+    """Samples the child until it exits; returns its stacks, the call-site
+    candidates of each libc leaf sample (see `libc_callers`), and the file
     mappings last read while it ran."""
-    stacks, maps, mem = [], [], None
+    stacks, callers, maps, mem = [], [], [], None
+    text, libc_text = [], []
     try:
         while True:
             time.sleep(interval)
@@ -117,7 +153,7 @@ def sample(pid, interval):
             while True:
                 _, status = os.waitpid(pid, 0)
                 if os.WIFEXITED(status) or os.WIFSIGNALED(status):
-                    return stacks, maps
+                    return stacks, callers, maps
                 if status >> 16 == PTRACE_EVENT_STOP:
                     try:
                         rip, rbp, rsp = read_regs(pid)
@@ -125,10 +161,13 @@ def sample(pid, interval):
                         # mappings, and reopen the memory file with them.
                         if not any(lo <= rip < hi for lo, hi, *_ in maps):
                             maps = read_maps(pid)
+                            text, libc_text = code_of(pid, maps)
                             if mem is not None:
                                 os.close(mem)
                             mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
                         stacks.append(walk(mem, rip, rbp, rsp))
+                        if any(lo <= rip < hi for lo, hi in libc_text):
+                            callers.append(libc_callers(mem, rsp, text))
                     except OSError:
                         pass
                     ptrace(PTRACE_CONT, pid)
@@ -214,7 +253,7 @@ def main():
         p.error("no command given")
     pid = spawn(cmd)
     try:
-        stacks, maps = sample(pid, args.interval_ms / 1000.0)
+        stacks, callers, maps = sample(pid, args.interval_ms / 1000.0)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
@@ -222,7 +261,7 @@ def main():
         sys.exit("no samples taken")
     # The child is gone: the mappings last read while it ran stand in
     # for the whole run.
-    names = symbolize({a for s in stacks for a in s}, maps)
+    names = symbolize({a for s in stacks + callers for a in s}, maps)
     total = len(stacks)
     own, incl, groups = collections.Counter(), collections.Counter(), collections.Counter()
     group_re = re.compile(args.group)
@@ -235,6 +274,16 @@ def main():
     table("self", own, total, args.top)
     table("inclusive", incl, total, args.top)
     table(f"per group /{args.group}/", groups, total, args.top)
+    # Name the first frame outside the library helpers, else the first
+    # call site's own function.
+    lib = re.compile(r"^<*(\w+ as )?(alloc|core|std|__rustc)::")
+    leaf_callers = collections.Counter(
+        next((fn for a in c for fn in names[a] if not lib.match(fn)), names[c[0]][-1])
+        if c else "(not found)"
+        for c in callers
+    )
+    if callers:
+        table("libc leaf callers", leaf_callers, len(callers), args.top)
 
 
 if __name__ == "__main__":
